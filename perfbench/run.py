@@ -152,7 +152,10 @@ def trace(name: str, seed: int, seconds: float, deadline: float) -> dict:
         "ops": ops,
         "failed": sum(r["explicit"] + r["wrong"] for r in (plain, traced)),
         "wrong": plain["wrong"] + traced["wrong"] + out["warmup"]["wrong"],
-        "reasons": traced["reasons"],
+        "reasons": {
+            reason: plain["reasons"].get(reason, 0) + traced["reasons"].get(reason, 0)
+            for reason in {**plain["reasons"], **traced["reasons"]}
+        },
         "spans": out["spans"],
         "scale": out["scale"],
         "metrics": metrics,

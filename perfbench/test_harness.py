@@ -171,9 +171,11 @@ def test_cli_checker_rejects_corruption(make):
     w = make("cli")
     exact = next(a for a in w.pass_inputs() if a[:3] == ["reconstruct", "--mode", "exact"])
     out = w.run(exact)
-    w.check(exact, out)
     path = Path(exact[exact.index("--out") + 1])
     good = json.loads(path.read_text())
+    w.check(exact, out)
+    assert not path.exists()
+    assert_rejects(w, exact, out)  # no output file left to pass on
 
     bad = json.loads(json.dumps(good))
     bad["coefficients"][w.lo + 10][0] += 1e-3

@@ -264,7 +264,7 @@ class Cli:
         psi_path = os.path.join(workdir, "psi.json")
         for path, coeffs in ((self.state_path, self.truth), (psi_path, small)):
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"coefficients": [[c.real, c.imag] for c in coeffs], "tail": None}, fh)
+                json.dump(pf.FockVector(coeffs).to_json(), fh)
         radius = math.sqrt(self.p)
         ring = f"{0.95 * radius!r}:{1.05 * radius!r}:3,0:6.2:16"
         grid = ["--N", str(self.N), "--p", repr(self.p)]
@@ -297,12 +297,17 @@ class Cli:
         return {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
     def _payload(self, argv: list) -> dict:
+        """Parse and remove the command's output file, so that the next pass
+        cannot pass its check on a stale file."""
         path = argv[argv.index("--out") + 1]
         try:
             with open(path, encoding="utf-8") as fh:
                 return json.load(fh)
         except (OSError, ValueError) as exc:
             raise WrongOutput(f"{argv[0]} output does not parse: {exc}") from exc
+        finally:
+            if os.path.exists(path):
+                os.remove(path)
 
     def check(self, argv: list, out: dict) -> None:
         if out["code"] != 0:
