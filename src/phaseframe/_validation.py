@@ -63,6 +63,10 @@ def as_complex_vector(values, name: str = "values") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
+    return check_finite(arr, name)
+
+
+def check_finite(arr: np.ndarray, name: str = "values") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite entries")
     return arr

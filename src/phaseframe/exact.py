@@ -20,8 +20,8 @@ import warnings
 
 import numpy as np
 
-from ._validation import as_complex_vector, check_fitted, check_order
-from .fock import FockVector, PhaseGrid, SampleSet, evaluate
+from ._validation import check_finite, check_fitted, check_order
+from .fock import FockVector, PhaseGrid, evaluate, grid_samples, scale_by_exp
 from .spectral import log_mode_weight, resolve_series_tol
 
 __all__ = ["ExactReconstructor"]
@@ -43,15 +43,23 @@ def _geometric_sum(w: np.ndarray, M: int) -> np.ndarray:
     return out
 
 
-def _scaled_exp(log_prefactor: float, values: np.ndarray) -> np.ndarray:
-    """values * exp(log_prefactor), combined in log space so that a large
-    prefactor and a small sum (or vice versa) do not overflow on the way."""
-    values = np.atleast_1d(values)
-    out = np.zeros(values.shape, dtype=complex)
-    nz = values != 0
-    mag = np.abs(values[nz])
-    out[nz] = np.exp(np.log(mag) + log_prefactor) * (values[nz] / mag)
-    return out
+def dft_recover(values: np.ndarray, logw: np.ndarray) -> np.ndarray:
+    """a_m = (N lam_m)^{-1/2} sum_k e^{2 pi i k m / N} Psi_k for m < len(logw).
+
+    One inverse FFT along the last axis of `values` (a sample vector or a
+    stack of them) and one log-space scaling by -(log N + log lam_m)/2.
+    """
+    N = values.shape[-1]
+    if np.any(logw < math.log(1e-300) + math.log(N)):
+        warnings.warn(
+            "mode weights below 1e-300*N: recovered top coefficients are "
+            "dominated by double-precision sample rounding",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    S = N * np.fft.ifft(values, axis=-1)[..., : len(logw)]
+    out = scale_by_exp(S, -0.5 * (math.log(N) + logw))
+    return check_finite(out, "coefficients")
 
 
 class ExactReconstructor:
@@ -99,36 +107,20 @@ class ExactReconstructor:
         logw = log_mode_weight(np.arange(M + 1), grid.p, grid.N)
         return grid, M, logw
 
-    def _coerce_samples(self, X) -> np.ndarray:
-        grid, _, _ = self._context()
-        if isinstance(X, SampleSet):
-            if X.grid != grid:
-                raise ValueError(
-                    f"sample grid {X.grid} does not match reconstructor grid {grid}"
-                )
-            return X.values
-        values = as_complex_vector(X, "samples")
-        if len(values) != grid.N:
-            raise ValueError(f"expected {grid.N} samples, got {len(values)}")
-        return values
-
     # -- data interface -----------------------------------------------------
 
     def fit(self, X, y=None) -> "ExactReconstructor":
         """Store samples and recover the coefficient vector."""
-        values = self._coerce_samples(X)
+        grid, _, logw = self._context()
+        values = grid_samples(X, grid)
+        self.coef_ = dft_recover(values, logw)
         self.samples_ = values
-        self.coef_ = self.dft_coefficients(values).coefficients
         return self
 
     def transform(self, X) -> np.ndarray:
         """Coefficient rows for one sample vector or a stack of them."""
-        arr = X.values if isinstance(X, SampleSet) else np.asarray(X, dtype=complex)
-        if arr.ndim == 1:
-            return self.dft_coefficients(arr).coefficients[None, :]
-        if arr.ndim != 2:
-            raise ValueError("expected a 1-d sample vector or a 2-d stack")
-        return np.vstack([self.dft_coefficients(row).coefficients for row in arr])
+        grid, _, logw = self._context()
+        return dft_recover(grid_samples(X, grid, stack=True), logw)
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X).coef_[None, :]
@@ -147,15 +139,10 @@ class ExactReconstructor:
     def sinc_kernel(self, k: int, z):
         """Kernel Xi_k(z); Xi_k(z_l) = delta_kl at critical sampling N = M+1."""
         grid, M, _ = self._context()
-        k = int(k) % grid.N
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        zk = grid.point(k)
-        w = zs.conjugate() * zk / grid.p
-        geom = _geometric_sum(w, M)
-        out = np.empty(zs.shape, dtype=complex)
-        for idx in range(zs.size):
-            pref = 0.5 * (grid.p - abs(zs.flat[idx]) ** 2) - math.log(grid.N)
-            out.flat[idx] = _scaled_exp(pref, geom.flat[idx])[0]
+        w = zs.conjugate() * grid.point(k) / grid.p
+        pref = 0.5 * (grid.p - np.abs(zs) ** 2) - math.log(grid.N)
+        out = scale_by_exp(_geometric_sum(w, M), pref)
         if np.ndim(z) == 0:
             return complex(out[0])
         return out
@@ -166,8 +153,8 @@ class ExactReconstructor:
         Mathematically identical to evaluating the recovered coefficients,
         but computed directly from the samples.
         """
-        values = self._coerce_samples(X)
         grid, M, _ = self._context()
+        values = grid_samples(X, grid)
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         zk = grid.points()
         out = np.empty(zs.shape, dtype=complex)
@@ -176,48 +163,34 @@ class ExactReconstructor:
             w = zz.conjugate() * zk / grid.p
             s = np.dot(_geometric_sum(w, M), values)
             pref = 0.5 * (grid.p - abs(zz) ** 2) - math.log(grid.N)
-            out.flat[idx] = _scaled_exp(pref, np.asarray(s))[0]
+            out.flat[idx] = scale_by_exp(s, pref)
         if np.ndim(z) == 0:
             return complex(out[0])
         return out
 
     def dft_coefficients(self, X) -> FockVector:
         """Coefficients a_m = (N lam_m)^{-1/2} sum_k e^{2 pi i k m / N} Psi_k."""
-        values = self._coerce_samples(X)
-        grid, M, logw = self._context()
-        N = grid.N
-        if np.any(logw < math.log(1e-300) + math.log(N)):
-            warnings.warn(
-                "mode weights below 1e-300*N: recovered top coefficients are "
-                "dominated by double-precision sample rounding",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        m = np.arange(M + 1)
-        k = np.arange(N)
-        E = np.exp(2j * np.pi * np.mod(np.outer(m, k), N) / N)
-        S = E @ values
-        out = np.zeros(M + 1, dtype=complex)
-        nz = S != 0
-        if np.any(nz):
-            lognorm = -0.5 * (math.log(N) + logw[nz])
-            mag = np.abs(S[nz])
-            out[nz] = np.exp(np.log(mag) + lognorm) * (S[nz] / mag)
-        return FockVector(out)
+        grid, _, logw = self._context()
+        return FockVector(dft_recover(grid_samples(X, grid), logw))
 
     def range_projector(self) -> np.ndarray:
         """N x N matrix P_{lk} = Xi_k(z_l) = (1/N) sum_{m<=M} e^{2 pi i (k-l) m/N}.
 
         Orthogonal projector onto the sample vectors reachable from modes
-        0..M; rank and trace equal M+1.
+        0..M; rank and trace equal M+1.  P is circulant, so its first column
+        (the FFT of the in-band indicator, over N) fills the whole matrix.
         """
         grid, M, _ = self._context()
         N = grid.N
-        V = np.exp(2j * np.pi * np.mod(np.outer(np.arange(M + 1), np.arange(N)), N) / N)
-        return V.conj().T @ V / N
+        column = np.fft.fft(np.arange(N) <= M) / N
+        k = np.arange(N)
+        return column[np.mod(k[:, None] - k[None, :], N)]
 
     def resample(self) -> np.ndarray:
         """Values of the fitted state on the grid (identity when fitted from
-        consistent samples)."""
+        consistent samples): the circulant P applied as FFT, in-band mask,
+        inverse FFT."""
         check_fitted(self, "samples_")
-        return self.range_projector() @ self.samples_
+        _, M, _ = self._context()
+        in_band = np.arange(len(self.samples_)) <= M
+        return np.fft.fft(np.fft.ifft(self.samples_) * in_band)

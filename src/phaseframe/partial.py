@@ -23,8 +23,9 @@ import math
 
 import numpy as np
 
-from ._validation import as_complex_vector, check_fitted, check_order
-from .fock import FockVector, PhaseGrid, SampleSet, evaluate
+from ._validation import check_finite, check_fitted, check_order
+from .exact import dft_recover
+from .fock import FockVector, PhaseGrid, evaluate, grid_samples, scale_by_exp
 from .spectral import (
     default_n_max,
     folded_weight,
@@ -76,56 +77,48 @@ class PartialReconstructor:
         self.samples_ = None
         return self
 
-    def _context(self):
+    def _grid(self):
+        """Grid, alias cutoff and series tolerance, validated; no arrays."""
         grid = PhaseGrid(self.N, self.p)
         tol = resolve_series_tol(self.series_tol)
         if self.n_max is None:
-            n_max = max(default_n_max(grid.p, grid.N), grid.N - 1)
-        else:
-            n_max = check_order(self.n_max, "n_max")
-            if n_max < grid.N - 1:
-                raise ValueError(
-                    f"n_max = {n_max} must cover at least one full residue "
-                    f"period (N - 1 = {grid.N - 1})"
-                )
+            return grid, max(default_n_max(grid.p, grid.N), grid.N - 1), tol
+        n_max = check_order(self.n_max, "n_max")
+        if n_max < grid.N - 1:
+            raise ValueError(
+                f"n_max = {n_max} must cover at least one full residue "
+                f"period (N - 1 = {grid.N - 1})"
+            )
+        return grid, n_max, tol
+
+    def _context(self):
+        grid, n_max, tol = self._grid()
         logw = log_mode_weight(np.arange(n_max + 1), grid.p, grid.N)
         log_folded = np.log(folded_weight(grid.p, grid.N, tol))
         return grid, n_max, logw, log_folded
 
-    def _coerce_samples(self, X) -> np.ndarray:
-        grid, _, _, _ = self._context()
-        if isinstance(X, SampleSet):
-            if X.grid != grid:
-                raise ValueError(
-                    f"sample grid {X.grid} does not match reconstructor grid {grid}"
-                )
-            return X.values
-        values = as_complex_vector(X, "samples")
-        if len(values) != grid.N:
-            raise ValueError(f"expected {grid.N} samples, got {len(values)}")
-        return values
-
-    def _dft(self, values: np.ndarray, N: int) -> np.ndarray:
-        """S_j = sum_k e^{2 pi i j k / N} Psi_k for j = 0..N-1."""
-        j = np.arange(N)
-        E = np.exp(2j * np.pi * np.mod(np.outer(j, j), N) / N)
-        return E @ values
+    @staticmethod
+    def _aliases(values, logw, log_folded) -> np.ndarray:
+        """ahat_n for n < len(logw) along the last axis of `values`."""
+        N = values.shape[-1]
+        S = N * np.fft.ifft(values, axis=-1)
+        j = np.mod(np.arange(len(logw)), N)
+        logmag = 0.5 * logw - log_folded[j] - 0.5 * math.log(N)
+        return check_finite(scale_by_exp(S[..., j], logmag), "coefficients")
 
     # -- data interface -----------------------------------------------------
 
     def fit(self, X, y=None) -> "PartialReconstructor":
-        values = self._coerce_samples(X)
+        grid, _, logw, log_folded = self._context()
+        values = grid_samples(X, grid)
+        self.coef_ = self._aliases(values, logw, log_folded)
         self.samples_ = values
-        self.coef_ = self.alias_coefficients(values).coefficients
         return self
 
     def transform(self, X) -> np.ndarray:
-        arr = X.values if isinstance(X, SampleSet) else np.asarray(X, dtype=complex)
-        if arr.ndim == 1:
-            return self.alias_coefficients(arr).coefficients[None, :]
-        if arr.ndim != 2:
-            raise ValueError("expected a 1-d sample vector or a 2-d stack")
-        return np.vstack([self.alias_coefficients(row).coefficients for row in arr])
+        grid, _, logw, log_folded = self._context()
+        values = grid_samples(X, grid, stack=True)
+        return self._aliases(values, logw, log_folded)
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X).coef_[None, :]
@@ -174,7 +167,7 @@ class PartialReconstructor:
             w = zz.conjugate() * zk / grid.p
             s = _power_series(logc, w)
             pref = 0.5 * (grid.p - abs(zz) ** 2) - math.log(grid.N)
-            out.flat[idx] = _rescale(pref, s)
+            out.flat[idx] = scale_by_exp(s, pref)
         if np.ndim(z) == 0:
             return complex(out[0])
         return out
@@ -185,9 +178,8 @@ class PartialReconstructor:
         Evaluated through the residue-class DFT: with w0 = conj(z)/sqrt(p),
         sum_k L_k(z) Psi_k = (1/N) e^{(p-|z|^2)/2} sum_n c_n w0^n S_{n mod N}.
         """
-        values = self._coerce_samples(X)
         grid, n_max, logw, log_folded = self._context()
-        S = self._dft(values, grid.N)
+        S = grid.N * np.fft.ifft(grid_samples(X, grid))
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.empty(zs.shape, dtype=complex)
         for idx in range(zs.size):
@@ -198,7 +190,7 @@ class PartialReconstructor:
             weights = S[np.mod(np.arange(length + 1), grid.N)]
             s = _power_series(logc, w0, weights)
             pref = 0.5 * (grid.p - abs(zz) ** 2) - math.log(grid.N)
-            out.flat[idx] = _rescale(pref, s)
+            out.flat[idx] = scale_by_exp(s, pref)
         if np.ndim(z) == 0:
             return complex(out[0])
         return out
@@ -210,19 +202,9 @@ class PartialReconstructor:
         weight, so the periodization identity
         ahat_{n+N} sqrt(lam_n) = ahat_n sqrt(lam_{n+N}) holds by construction.
         """
-        values = self._coerce_samples(X)
-        grid, n_max, logw, log_folded = self._context()
-        S = self._dft(values, grid.N)
-        n = np.arange(n_max + 1)
-        j = np.mod(n, grid.N)
-        logmag = 0.5 * logw - log_folded[j] - 0.5 * math.log(grid.N)
-        Sj = S[j]
-        out = np.zeros(n_max + 1, dtype=complex)
-        nz = Sj != 0
-        if np.any(nz):
-            mag = np.abs(Sj[nz])
-            out[nz] = np.exp(logmag[nz] + np.log(mag)) * (Sj[nz] / mag)
-        return FockVector(out)
+        grid, _, logw, log_folded = self._context()
+        values = grid_samples(X, grid)
+        return FockVector(self._aliases(values, logw, log_folded))
 
     def projector_element(self, m: int, n: int) -> float:
         """Matrix element <m| P |n> of the projection onto the sample span:
@@ -260,46 +242,31 @@ class PartialReconstructor:
 
     def filter_factors(self, M: int | None = None) -> np.ndarray:
         """In-band filter gains 1 + nu_n for n = 0..M."""
-        grid, _, _, _ = self._context()
+        grid, _, tol = self._grid()
         M = grid.N - 1 if M is None else check_order(M, "M")
         if M >= grid.N:
             raise ValueError(
                 f"filter order M = {M} must stay below the grid size N = {grid.N}"
             )
-        nu = np.exp(log_aliasing_excess(grid.p, grid.N, resolve_series_tol(self.series_tol)))
+        nu = np.exp(log_aliasing_excess(grid.p, grid.N, tol))
         return 1.0 + nu[: M + 1]
 
     def reconstruct_filtered(self, X, M: int | None = None) -> FockVector:
         """Truncate the aliases at M <= N-1 and undo the (1+nu_n)^{-1}
         in-band attenuation.
 
-        The gain and the alias magnitude are combined in a single
-        exponential so no intermediate under- or overflow occurs.
+        Since (1+nu_n) = lhat_n/lam_n, the gain times the alias scale
+        sqrt(lam_n)/(lhat_n sqrt(N)) is 1/sqrt(N lam_n): the filtered
+        pipeline is exactly the oversampled DFT recovery of modes 0..M.
         """
-        values = self._coerce_samples(X)
-        grid, _, logw, log_folded = self._context()
+        grid, _, _ = self._grid()
         M = grid.N - 1 if M is None else check_order(M, "M")
         if M >= grid.N:
             raise ValueError(
                 f"filtered mode needs M < N; got M = {M}, N = {grid.N}"
             )
-        S = self._dft(values, grid.N)
-        n = np.arange(M + 1)
-        # log of (1+nu_n) * sqrt(lam_n)/lhat_n / sqrt(N)
-        #      = log of 1/sqrt(N lam_n)  since (1+nu_n) = lhat_n/lam_n
-        logmag = (
-            0.5 * logw[: M + 1]
-            - log_folded[n]
-            - 0.5 * math.log(grid.N)
-            + (log_folded[n] - logw[: M + 1])
-        )
-        Sj = S[n]
-        out = np.zeros(M + 1, dtype=complex)
-        nz = Sj != 0
-        if np.any(nz):
-            mag = np.abs(Sj[nz])
-            out[nz] = np.exp(logmag[nz] + np.log(mag)) * (Sj[nz] / mag)
-        return FockVector(out)
+        logw = log_mode_weight(np.arange(M + 1), grid.p, grid.N)
+        return FockVector(dft_recover(grid_samples(X, grid), logw))
 
 
 def _power_series(logc: np.ndarray, w: complex, weights=None) -> complex:
@@ -316,10 +283,3 @@ def _power_series(logc: np.ndarray, w: complex, weights=None) -> complex:
     if weights is not None:
         terms = terms * weights
     return complex(np.sum(terms))
-
-
-def _rescale(log_prefactor: float, value: complex) -> complex:
-    if value == 0:
-        return 0.0 + 0.0j
-    mag = abs(value)
-    return np.exp(math.log(mag) + log_prefactor) * (value / mag)

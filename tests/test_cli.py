@@ -375,6 +375,44 @@ def test_validate_flags_unstable_round_trip(capsys):
     assert "of 7 checks failed" in captured.err
 
 
+def _validate_lines(capsys, N, p):
+    main(["validate", "--N", str(N), "--p", str(p)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    return {line.split(" ", 1)[1].split(":")[0]: line.split(" ", 1)[0] for line in lines}
+
+
+def test_validate_spectral_checks_scale_with_norm_of_overlap(capsys):
+    # lhat_0 ~ 2.6e-7 is 4e7 times below max(lhat) here; both checks are
+    # relative to max(lhat), the norm of B, not to lhat_0
+    status = _validate_lines(capsys, 128, 20.0)
+    assert status["eigenvalue series vs DFT (scale-relative)"] == "PASS"
+    assert status["dense circulant eigencheck"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "module,rel,check",
+    [
+        # the series eigenvalues against the FFT of the first row
+        ("spectral", 1e-8, "eigenvalue series vs DFT (scale-relative)"),
+        # the dense residual sees an eigenvalue error d as d/sqrt(N) on a
+        # unit Fourier column, so at N = 128 it resolves d > 1.1e-8 max(lhat)
+        ("oracle", 1e-7, "dense circulant eigencheck"),
+    ],
+)
+def test_validate_flags_perturbed_eigenvalue(capsys, monkeypatch, module, rel, check):
+    target = getattr(phaseframe, module)
+    exact = phaseframe.spectral.folded_weight
+
+    def perturbed(p, N, series_tol=None):
+        out = exact(p, N, series_tol)
+        out[0] += rel * np.max(out)
+        return out
+
+    monkeypatch.setattr(target, "folded_weight", perturbed)
+    status = _validate_lines(capsys, 128, 20.0)
+    assert status[check] == "FAIL"
+
+
 # -- top level ----------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Shared estimator-contract checks for both reconstructors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,81 @@ def test_transform_stacks_rows_linearly(cls, kwargs):
 def test_missing_hyperparameters_fail_fast(cls):
     with pytest.raises(ValueError):
         cls().fit(np.zeros(4, dtype=complex))
+
+
+# -- batched transform ----------------------------------------------------------
+
+ROW_METHOD = {
+    ExactReconstructor: "dft_coefficients",
+    PartialReconstructor: "alias_coefficients",
+}
+
+
+def _row_loop(est, X):
+    method = getattr(est, ROW_METHOD[type(est)])
+    return np.vstack([method(row).coefficients for row in X])
+
+
+@pytest.mark.parametrize(
+    "cls,kwargs",
+    CASES
+    + [
+        (ExactReconstructor, dict(N=97, p=60.0, M=80)),
+        (PartialReconstructor, dict(N=97, p=300.0)),
+    ],
+)
+def test_transform_stack_matches_row_loop(cls, kwargs):
+    rng = np.random.default_rng(23)
+    X = np.stack([_samples(rng, kwargs["N"]) for _ in range(5)])
+    est = cls(**kwargs)
+    out = est.transform(X)
+    ref = _row_loop(est, X)
+    assert out.shape == ref.shape
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(out - ref) <= 1e-15 * scale)
+
+
+def _bad_stacks(N, rng):
+    X = np.stack([_samples(rng, N) for _ in range(3)])
+    nonfinite = X.copy()
+    nonfinite[1, 2] = np.nan
+    return [
+        (nonfinite, "samples must contain only finite entries"),
+        (X[:, :-1], f"expected {N} samples, got {N - 1}"),
+    ]
+
+
+@pytest.mark.parametrize("cls,kwargs", CASES)
+def test_transform_stack_raises_where_row_loop_raises(cls, kwargs):
+    rng = np.random.default_rng(29)
+    est = cls(**kwargs)
+    for X, message in _bad_stacks(kwargs["N"], rng):
+        with pytest.raises(ValueError, match=message):
+            _row_loop(est, X)
+        with pytest.raises(ValueError, match=message):
+            est.transform(X)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "est",
+    [ExactReconstructor(N=400, p=0.5, M=399), PartialReconstructor(N=400, p=0.5)],
+)
+def test_transform_stack_raises_on_nonfinite_result(est):
+    # the top mode weights at p = 0.5 lie far below double range, so the
+    # recovered coefficients overflow
+    X = np.stack([_samples(np.random.default_rng(31), 400) for _ in range(2)])
+    message = "coefficients must contain only finite entries"
+    with pytest.raises(ValueError, match=message):
+        _row_loop(est, X)
+    with pytest.raises(ValueError, match=message):
+        est.transform(X)
+
+
+def test_transform_stack_keeps_mode_weight_warning():
+    est = ExactReconstructor(N=171, p=0.5, M=170)
+    with pytest.warns(RuntimeWarning, match="sample rounding"):
+        est.transform(np.zeros((3, 171), dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ExactReconstructor(N=171, p=0.5, M=30).transform(np.ones((3, 171)))

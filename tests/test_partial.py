@@ -228,6 +228,17 @@ def test_filtered_error_within_declared_budget():
     assert float(np.sum(np.abs(diff) ** 2)) <= bound + 1e-12
 
 
+def test_filtered_is_the_exact_dft_recovery():
+    # (1 + nu_n) sqrt(lam_n) / (lhat_n sqrt(N)) = 1 / sqrt(N lam_n): the
+    # filtered pipeline and the oversampled DFT recovery are one computation
+    rng = np.random.default_rng(61)
+    for N, p, M in ((4, 2.0, 3), (9, 6.0, 5), (64, 40.0, 63), (97, 300.0, 60)):
+        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        filt = PartialReconstructor(N=N, p=p).reconstruct_filtered(x, M)
+        ex = ExactReconstructor(N=N, p=p, M=M).dft_coefficients(x)
+        assert np.array_equal(filt.coefficients, ex.coefficients), (N, p, M)
+
+
 def test_filtered_rejects_m_at_or_above_n():
     rec = PartialReconstructor(N=4, p=2.0)
     with pytest.raises(ValueError, match="M < N"):
