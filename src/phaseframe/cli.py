@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -418,7 +419,9 @@ def _cmd_validate(args) -> int:
     d = overlap.series_dft_defect()
     checks.append(("eigenvalue series vs DFT (scale-relative)", d <= 1e-10, d))
 
-    d = dense_eig_check(grid, args.tol)
+    # the residual is taken on unit Fourier columns (entries 1/sqrt(N)), so
+    # sqrt(N) times it reads an eigenvalue error d as d
+    d = dense_eig_check(grid, args.tol) * math.sqrt(grid.N)
     thresh = 1e-9 * float(np.max(overlap.eigenvalues))
     checks.append(("dense circulant eigencheck", d <= thresh, d))
 

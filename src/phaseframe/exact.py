@@ -22,7 +22,7 @@ import numpy as np
 
 from ._validation import check_finite, check_fitted, check_order
 from .fock import FockVector, PhaseGrid, evaluate, grid_samples, scale_by_exp
-from .spectral import log_mode_weight, resolve_series_tol
+from .spectral import SpectralData
 
 __all__ = ["ExactReconstructor"]
 
@@ -43,13 +43,39 @@ def _geometric_sum(w: np.ndarray, M: int) -> np.ndarray:
     return out
 
 
-def dft_recover(values: np.ndarray, logw: np.ndarray) -> np.ndarray:
-    """a_m = (N lam_m)^{-1/2} sum_k e^{2 pi i k m / N} Psi_k for m < len(logw).
+# exp(x) rounds to exactly 0 below this: it is under half the smallest
+# subnormal by a factor of e/2
+_LOG_TINY = math.log(np.finfo(float).smallest_subnormal) - 1.0
 
-    One inverse FFT along the last axis of `values` (a sample vector or a
-    stack of them) and one log-space scaling by -(log N + log lam_m)/2.
+
+def recover(values: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """c_n = exp(log_scale_n) S_{n mod N} for n < len(log_scale), where
+    S_j = sum_k e^{2 pi i k j / N} Psi_k.
+
+    Both reconstructions are this kernel with their own per-mode scale: one
+    inverse FFT along the last axis of `values` (a sample vector or a stack
+    of them) and one log-space scaling.  Columns past the last n with
+    log_scale_n + log max|S| >= _LOG_TINY underflow to zero; they are filled
+    with S_j * exp(-inf), which has the same signed zeros, not computed.
     """
     N = values.shape[-1]
+    S = N * np.fft.ifft(values, axis=-1)
+    j = np.mod(np.arange(len(log_scale)), N)
+    with np.errstate(divide="ignore"):
+        log_peak = np.log(np.max(np.abs(S)))
+    # a NaN or inf in S keeps every column, so the finite check sees it
+    live = np.flatnonzero(~(log_scale + log_peak < _LOG_TINY))
+    K = live[-1] + 1 if live.size else 0
+    out = scale_by_exp(S[..., j[:K]], log_scale[:K])
+    if K < len(j):
+        out = np.concatenate([out, scale_by_exp(S, -np.inf)[..., j[K:]]], axis=-1)
+    return check_finite(out, "coefficients")
+
+
+def dft_log_scale(plan: SpectralData) -> np.ndarray:
+    """-(log N + log lam_m)/2 for m = 0..n_max: the oversampled recovery
+    a_m = (N lam_m)^{-1/2} sum_k e^{2 pi i k m / N} Psi_k."""
+    N, logw = plan.grid.N, plan.log_weights
     if np.any(logw < math.log(1e-300) + math.log(N)):
         warnings.warn(
             "mode weights below 1e-300*N: recovered top coefficients are "
@@ -57,12 +83,61 @@ def dft_recover(values: np.ndarray, logw: np.ndarray) -> np.ndarray:
             RuntimeWarning,
             stacklevel=3,
         )
-    S = N * np.fft.ifft(values, axis=-1)[..., : len(logw)]
-    out = scale_by_exp(S, -0.5 * (math.log(N) + logw))
-    return check_finite(out, "coefficients")
+    return -0.5 * (math.log(N) + logw)
 
 
-class ExactReconstructor:
+class _Reconstructor:
+    """Estimator plumbing shared by both reconstructors.
+
+    Hyperparameters live in __init__ and are listed in `_params`.  Each
+    subclass supplies its plan (`_plan`, one SpectralData per public call)
+    and its per-mode log scale (`_log_scale`); its coefficients are
+    `recover(samples, log_scale)`.
+    """
+
+    _params: tuple[str, ...] = ()
+
+    def get_params(self, deep: bool = True) -> dict:
+        return {key: getattr(self, key) for key in self._params}
+
+    def set_params(self, **params):
+        valid = self.get_params()
+        for key, value in params.items():
+            if key not in valid:
+                raise ValueError(
+                    f"invalid parameter {key!r} for {type(self).__name__}"
+                )
+            setattr(self, key, value)
+        self.coef_ = None
+        self.samples_ = None
+        return self
+
+    def _band_plan(self, M, message: str) -> SpectralData:
+        """Plan of modes 0..M, where M (default N - 1) must lie below N;
+        `message` is formatted with M and N when it does not."""
+        grid = PhaseGrid(self.N, self.p)
+        M = grid.N - 1 if M is None else check_order(M, "M")
+        if M >= grid.N:
+            raise ValueError(message.format(M=M, N=grid.N))
+        return SpectralData.build(grid, M, self.series_tol)
+
+    def fit(self, X, y=None):
+        """Store the samples and recover the coefficient vector."""
+        plan = self._plan()
+        values = grid_samples(X, plan.grid)
+        self.coef_ = recover(values, self._log_scale(plan))
+        self.samples_ = values
+        return self
+
+    def fit_transform(self, X, y=None) -> np.ndarray:
+        return self.fit(X).coef_[None, :]
+
+    def state(self) -> FockVector:
+        check_fitted(self, "coef_")
+        return FockVector(self.coef_)
+
+
+class ExactReconstructor(_Reconstructor):
     """Recover a mode-limited state from N > M phase samples.
 
     Parameters
@@ -73,6 +148,8 @@ class ExactReconstructor:
     series_tol : optional override for the spectral series tolerance.
     """
 
+    _params = ("N", "p", "M", "series_tol")
+
     def __init__(self, N=None, p=None, M=None, series_tol=None):
         self.N = N
         self.p = p
@@ -81,64 +158,28 @@ class ExactReconstructor:
         self.coef_ = None
         self.samples_ = None
 
-    # -- estimator plumbing -------------------------------------------------
+    def _plan(self) -> SpectralData:
+        # checked here because M, unlike the filter order, has no default
+        return self._band_plan(
+            check_order(self.M, "M"),
+            "exact mode needs strict oversampling: M = {M} must be < N = {N}",
+        )
 
-    def get_params(self, deep: bool = True) -> dict:
-        return {"N": self.N, "p": self.p, "M": self.M, "series_tol": self.series_tol}
-
-    def set_params(self, **params) -> "ExactReconstructor":
-        valid = self.get_params()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"invalid parameter {key!r} for ExactReconstructor")
-            setattr(self, key, value)
-        self.coef_ = None
-        self.samples_ = None
-        return self
-
-    def _context(self):
-        grid = PhaseGrid(self.N, self.p)
-        M = check_order(self.M, "M")
-        if M >= grid.N:
-            raise ValueError(
-                f"exact mode needs strict oversampling: M = {M} must be < N = {grid.N}"
-            )
-        resolve_series_tol(self.series_tol)
-        logw = log_mode_weight(np.arange(M + 1), grid.p, grid.N)
-        return grid, M, logw
-
-    # -- data interface -----------------------------------------------------
-
-    def fit(self, X, y=None) -> "ExactReconstructor":
-        """Store samples and recover the coefficient vector."""
-        grid, _, logw = self._context()
-        values = grid_samples(X, grid)
-        self.coef_ = dft_recover(values, logw)
-        self.samples_ = values
-        return self
+    _log_scale = staticmethod(dft_log_scale)
 
     def transform(self, X) -> np.ndarray:
         """Coefficient rows for one sample vector or a stack of them."""
-        grid, _, logw = self._context()
-        return dft_recover(grid_samples(X, grid, stack=True), logw)
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X).coef_[None, :]
+        plan = self._plan()
+        return recover(grid_samples(X, plan.grid, stack=True), self._log_scale(plan))
 
     def predict(self, z):
         """Evaluate the fitted state's wave function at z (scalar or array)."""
-        check_fitted(self, "coef_")
-        return evaluate(FockVector(self.coef_), z)
-
-    # -- reconstruction contract ---------------------------------------------
-
-    def state(self) -> FockVector:
-        check_fitted(self, "coef_")
-        return FockVector(self.coef_)
+        return evaluate(self.state(), z)
 
     def sinc_kernel(self, k: int, z):
         """Kernel Xi_k(z); Xi_k(z_l) = delta_kl at critical sampling N = M+1."""
-        grid, M, _ = self._context()
+        plan = self._plan()
+        grid, M = plan.grid, plan.n_max
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         w = zs.conjugate() * grid.point(k) / grid.p
         pref = 0.5 * (grid.p - np.abs(zs) ** 2) - math.log(grid.N)
@@ -153,7 +194,8 @@ class ExactReconstructor:
         Mathematically identical to evaluating the recovered coefficients,
         but computed directly from the samples.
         """
-        grid, M, _ = self._context()
+        plan = self._plan()
+        grid, M = plan.grid, plan.n_max
         values = grid_samples(X, grid)
         zs = np.atleast_1d(np.asarray(z, dtype=complex))
         zk = grid.points()
@@ -170,8 +212,8 @@ class ExactReconstructor:
 
     def dft_coefficients(self, X) -> FockVector:
         """Coefficients a_m = (N lam_m)^{-1/2} sum_k e^{2 pi i k m / N} Psi_k."""
-        grid, _, logw = self._context()
-        return FockVector(dft_recover(grid_samples(X, grid), logw))
+        plan = self._plan()
+        return FockVector(recover(grid_samples(X, plan.grid), self._log_scale(plan)))
 
     def range_projector(self) -> np.ndarray:
         """N x N matrix P_{lk} = Xi_k(z_l) = (1/N) sum_{m<=M} e^{2 pi i (k-l) m/N}.
@@ -180,8 +222,8 @@ class ExactReconstructor:
         0..M; rank and trace equal M+1.  P is circulant, so its first column
         (the FFT of the in-band indicator, over N) fills the whole matrix.
         """
-        grid, M, _ = self._context()
-        N = grid.N
+        plan = self._plan()
+        N, M = plan.grid.N, plan.n_max
         column = np.fft.fft(np.arange(N) <= M) / N
         k = np.arange(N)
         return column[np.mod(k[:, None] - k[None, :], N)]
@@ -191,6 +233,6 @@ class ExactReconstructor:
         consistent samples): the circulant P applied as FFT, in-band mask,
         inverse FFT."""
         check_fitted(self, "samples_")
-        _, M, _ = self._context()
+        M = self._plan().n_max
         in_band = np.arange(len(self.samples_)) <= M
         return np.fft.fft(np.fft.ifft(self.samples_) * in_band)

@@ -20,6 +20,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -185,19 +186,16 @@ def fourier_matrix(N) -> np.ndarray:
 
 @dataclass
 class SpectralData:
-    """Precomputed weight arrays for one grid.
+    """Weight arrays for one grid: the plan that every reconstruction reads.
 
     weights[m] = lam_m for m = 0..n_max, folded[j] = lhat_j and
-    excess[j] = nu_j for j = 0..N-1.
+    excess[j] = nu_j for j = 0..N-1.  Each array is computed on first read
+    and then kept, so a caller pays only for the series it reads.
     """
 
     grid: PhaseGrid
     n_max: int
     series_tol: float
-    log_weights: np.ndarray
-    folded: np.ndarray
-    excess: np.ndarray
-    log_excess: np.ndarray
 
     @staticmethod
     def build(
@@ -205,27 +203,34 @@ class SpectralData:
         n_max: int | None = None,
         series_tol: float | None = None,
     ) -> "SpectralData":
+        """Validate the grid, resolve the series tolerance and the default
+        n_max; no array is computed yet."""
         if not isinstance(grid, PhaseGrid):
             raise ValueError("grid must be a PhaseGrid")
         tol = resolve_series_tol(series_tol)
         if n_max is None:
             n_max = default_n_max(grid.p, grid.N)
-        n_max = check_order(n_max, "n_max")
-        logw = log_mode_weight(np.arange(n_max + 1), grid.p, grid.N)
-        log_nu = log_aliasing_excess(grid.p, grid.N, tol)
-        return SpectralData(
-            grid=grid,
-            n_max=n_max,
-            series_tol=tol,
-            log_weights=logw,
-            folded=folded_weight(grid.p, grid.N, tol),
-            excess=np.exp(log_nu),
-            log_excess=log_nu,
-        )
+        return SpectralData(grid, check_order(n_max, "n_max"), tol)
 
-    @property
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        return log_mode_weight(np.arange(self.n_max + 1), self.grid.p, self.grid.N)
+
+    @cached_property
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
+
+    @cached_property
+    def folded(self) -> np.ndarray:
+        return folded_weight(self.grid.p, self.grid.N, self.series_tol)
+
+    @cached_property
+    def log_excess(self) -> np.ndarray:
+        return log_aliasing_excess(self.grid.p, self.grid.N, self.series_tol)
+
+    @cached_property
+    def excess(self) -> np.ndarray:
+        return np.exp(self.log_excess)
 
     def weight_sum_defect(self) -> float:
         """|sum_m lam_m - N| over the materialized block; diagnostic for n_max."""

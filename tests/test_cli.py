@@ -394,9 +394,10 @@ def test_validate_spectral_checks_scale_with_norm_of_overlap(capsys):
     [
         # the series eigenvalues against the FFT of the first row
         ("spectral", 1e-8, "eigenvalue series vs DFT (scale-relative)"),
-        # the dense residual sees an eigenvalue error d as d/sqrt(N) on a
-        # unit Fourier column, so at N = 128 it resolves d > 1.1e-8 max(lhat)
+        # the dense residual on unit Fourier columns, scaled by sqrt(N),
+        # reads an eigenvalue error d as d against 1e-9 max(lhat)
         ("oracle", 1e-7, "dense circulant eigencheck"),
+        ("oracle", 1e-8, "dense circulant eigencheck"),
     ],
 )
 def test_validate_flags_perturbed_eigenvalue(capsys, monkeypatch, module, rel, check):

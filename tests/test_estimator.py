@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from phaseframe import ExactReconstructor, NotFittedError, PartialReconstructor
+from phaseframe import ExactReconstructor, NotFittedError, PartialReconstructor, spectral
 
 CASES = [
     (ExactReconstructor, dict(N=8, p=5.0, M=5)),
@@ -165,3 +165,72 @@ def test_transform_stack_keeps_mode_weight_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ExactReconstructor(N=171, p=0.5, M=30).transform(np.ones((3, 171)))
+
+
+# -- grid plan ------------------------------------------------------------------
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """Count calls to the two spectral series; the plan reads them through
+    the spectral module."""
+    calls = {"folded_weight": 0, "log_aliasing_excess": 0}
+    for name in calls:
+        original = getattr(spectral, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, name, counted)
+    return calls
+
+
+def _reset(calls):
+    seen = dict(calls)
+    for name in calls:
+        calls[name] = 0
+    return seen
+
+
+def test_exact_routes_run_no_series(series_calls):
+    rng = np.random.default_rng(37)
+    x = _samples(rng, 16)
+    z = np.linspace(0.0, 3.0, 5) * np.exp(0.4j)
+    est = ExactReconstructor(N=16, p=9.0, M=12)
+    est.fit(x)
+    est.transform(np.stack([x, x]))
+    est.dft_coefficients(x)
+    est.sinc_kernel(3, z)
+    PartialReconstructor(N=16, p=9.0).reconstruct_filtered(x, 12)
+    assert series_calls == {"folded_weight": 0, "log_aliasing_excess": 0}
+
+
+def test_partial_routes_fold_once(series_calls):
+    rng = np.random.default_rng(41)
+    x = _samples(rng, 16)
+    z = np.linspace(0.0, 6.0, 50) * np.exp(1.1j)
+    est = PartialReconstructor(N=16, p=9.0)
+    once = {"folded_weight": 1, "log_aliasing_excess": 0}
+    est.transform(np.stack([x, x]))
+    assert _reset(series_calls) == once
+    est.reconstruct(x, z)
+    assert _reset(series_calls) == once
+    est.lagrange_kernel(5, z)
+    assert _reset(series_calls) == once
+    est.filter_factors()
+    assert _reset(series_calls) == {"folded_weight": 0, "log_aliasing_excess": 1}
+
+
+def test_plan_follows_tolerance_environment(monkeypatch):
+    # a coarse PHASE_FRAME_TOL stops the fold after two wrap terms, so the
+    # aliases change between two calls on one estimator
+    monkeypatch.delenv("PHASE_FRAME_TOL", raising=False)
+    est = PartialReconstructor(N=4, p=1.0)
+    x = _samples(np.random.default_rng(43), 4)
+    fine = est.transform(x)
+    monkeypatch.setenv("PHASE_FRAME_TOL", "0.04")
+    coarse = est.transform(x)
+    assert not np.allclose(fine, coarse, rtol=1e-12, atol=0.0)
+    monkeypatch.delenv("PHASE_FRAME_TOL")
+    assert np.array_equal(est.transform(x), fine)

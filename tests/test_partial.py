@@ -18,7 +18,9 @@ from phaseframe import (
     sample,
     truncation_epsilon,
 )
+from phaseframe.fock import scale_by_exp
 from phaseframe.oracle import DenseFrame, dense_project
+from phaseframe.spectral import default_n_max, log_mode_weight
 
 
 def unit_state(rng, length):
@@ -245,6 +247,36 @@ def test_filtered_rejects_m_at_or_above_n():
         rec.reconstruct_filtered(np.zeros(4, dtype=complex), 4)
     out = rec.reconstruct_filtered(np.zeros(4, dtype=complex), 1)
     assert len(out) == 2
+
+
+def _all_aliases(N, p, X):
+    """Every alias n = 0..default n_max, materialized in full."""
+    n = np.arange(default_n_max(p, N) + 1)
+    log_folded = np.log(folded_weight(p, N))
+    logmag = 0.5 * log_mode_weight(n, p, N) - log_folded[n % N] - 0.5 * math.log(N)
+    S = N * np.fft.ifft(X, axis=-1)
+    return scale_by_exp(S[..., n % N], logmag)
+
+
+@pytest.mark.filterwarnings("error")
+def test_transform_skips_only_aliases_that_underflow():
+    # at N = 1024, p = 512 the alias scale sqrt(lam_n)/lhat_{n mod N}
+    # underflows past n ~ 2300 of 11206; those aliases are exact zeros
+    N, p = 1024, 512.0
+    rng = np.random.default_rng(67)
+    rows = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
+    X = np.stack([rows[0], np.zeros(N), 1e100 * rows[1]])
+    got = PartialReconstructor(N=N, p=p).transform(X)
+    ref = _all_aliases(N, p, X)
+    assert got.shape == ref.shape == (3, default_n_max(p, N) + 1)
+    assert np.array_equal(got.view(float), ref.view(float))
+    # the cutoff is taken: most of the first row is zero, yet the 1e100 row
+    # still carries nonzero aliases beyond it
+    last = [np.flatnonzero(row)[-1] for row in (ref[0], ref[2])]
+    assert last[0] < ref.shape[1] // 2
+    assert last[1] > last[0]
+    one = PartialReconstructor(N=N, p=p).transform(X[0])
+    assert np.array_equal(one.view(float), ref[:1].view(float))
 
 
 # -- guard rails --------------------------------------------------------------
