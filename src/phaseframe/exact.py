@@ -1,13 +1,16 @@
 """Exact reconstruction from oversampled phase circles (N > M).
 
-For states supported on modes 0..M with N > M samples, the wave function is
-recovered exactly by the discrete sinc-type kernel
+For states supported on modes 0..M with N > M samples, the coefficients are
+a filtered DFT of the samples, a_m = S_m / sqrt(N lam_m) with
+S_m = sum_k e^{2 pi i k m / N} Psi(z_k), and the wave function anywhere in
+the plane is sum_k Xi_k(z) Psi_k with the discrete sinc-type kernel
 
-    Xi_k(z) = (1/N) e^{(p - |z|^2)/2} sum_{m=0}^{M} w^m,   w = conj(z) z_k / p,
+    Xi_k(z) = (1/N) e^{(p - |z|^2)/2} sum_{m=0}^{M} w^m,   w = conj(z) z_k / p.
 
-and the coefficients by a filtered DFT of the samples,
-
-    a_m = (1/sqrt(N lam_m)) sum_k e^{2 pi i k m / N} Psi(z_k).
+Off the grid both kernel routes are one series in w0 = conj(z)/sqrt(p):
+sum_k Xi_k(z) Psi_k has the terms w0^m S_m, and Xi_k(z) the terms
+w0^m e^{2 pi i k m / N}.  `kernel_series` sums it for all points at once
+through `fock.series_at`, the chunked log-space series `evaluate` uses too.
 
 Both operations follow the sklearn estimator conventions: hyperparameters in
 __init__, data work in fit/transform/predict.
@@ -21,31 +24,24 @@ import warnings
 import numpy as np
 
 from ._validation import check_finite, check_fitted, check_order
-from .fock import FockVector, PhaseGrid, evaluate, grid_samples, scale_by_exp
+from .fock import _LOG_TINY, FockVector, PhaseGrid, evaluate, grid_samples
+from .fock import scale_by_exp, series_at
 from .spectral import SpectralData
 
 __all__ = ["ExactReconstructor"]
 
 
-def _geometric_sum(w: np.ndarray, M: int) -> np.ndarray:
-    """sum_{m=0}^{M} w^m with the removable singularity at w = 1 handled by
-    direct summation."""
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    out = np.empty(w.shape, dtype=complex)
-    near = np.abs(w - 1.0) < 1e-8
-    if np.any(~near):
-        wf = w[~near]
-        out[~near] = (wf ** (M + 1) - 1.0) / (wf - 1.0)
-    if np.any(near):
-        wn = w[near]
-        powers = wn[:, None] ** np.arange(M + 1)[None, :]
-        out[near] = powers.sum(axis=1)
-    return out
+def kernel_series(grid: PhaseGrid, z, log_c: np.ndarray, weights: np.ndarray):
+    """(1/N) e^{(p-|z|^2)/2} sum_m exp(log_c_m) w0^m weights_m with
+    w0 = conj(z)/sqrt(p): the off-grid form of both interpolation kernels."""
+    return series_at(
+        z, log_c, weights, 1.0 / math.sqrt(grid.p), 0.5 * grid.p - math.log(grid.N)
+    )
 
 
-# exp(x) rounds to exactly 0 below this: it is under half the smallest
-# subnormal by a factor of e/2
-_LOG_TINY = math.log(np.finfo(float).smallest_subnormal) - 1.0
+def unit_row(N: int, k: int) -> np.ndarray:
+    """e^{2 pi i k j / N} for j = 0..N-1, with k*j reduced mod N first."""
+    return np.exp(2j * np.pi * np.mod(int(k) * np.arange(N), N) / N)
 
 
 def recover(values: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
@@ -179,36 +175,20 @@ class ExactReconstructor(_Reconstructor):
     def sinc_kernel(self, k: int, z):
         """Kernel Xi_k(z); Xi_k(z_l) = delta_kl at critical sampling N = M+1."""
         plan = self._plan()
-        grid, M = plan.grid, plan.n_max
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = zs.conjugate() * grid.point(k) / grid.p
-        pref = 0.5 * (grid.p - np.abs(zs) ** 2) - math.log(grid.N)
-        out = scale_by_exp(_geometric_sum(w, M), pref)
-        if np.ndim(z) == 0:
-            return complex(out[0])
-        return out
+        weights = unit_row(plan.grid.N, k)[: plan.n_max + 1]
+        return kernel_series(plan.grid, z, np.zeros(len(weights)), weights)
 
     def reconstruct(self, X, z):
         """Kernel-route reconstruction sum_k Xi_k(z) Psi_k.
 
         Mathematically identical to evaluating the recovered coefficients,
-        but computed directly from the samples.
+        but computed directly from the samples: with w0 = conj(z)/sqrt(p),
+        sum_k Xi_k(z) Psi_k = (1/N) e^{(p-|z|^2)/2} sum_{m<=M} w0^m S_m.
         """
         plan = self._plan()
-        grid, M = plan.grid, plan.n_max
-        values = grid_samples(X, grid)
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        zk = grid.points()
-        out = np.empty(zs.shape, dtype=complex)
-        for idx in range(zs.size):
-            zz = complex(zs.flat[idx])
-            w = zz.conjugate() * zk / grid.p
-            s = np.dot(_geometric_sum(w, M), values)
-            pref = 0.5 * (grid.p - abs(zz) ** 2) - math.log(grid.N)
-            out.flat[idx] = scale_by_exp(s, pref)
-        if np.ndim(z) == 0:
-            return complex(out[0])
-        return out
+        S = plan.grid.N * np.fft.ifft(grid_samples(X, plan.grid))
+        weights = S[: plan.n_max + 1]
+        return kernel_series(plan.grid, z, np.zeros(len(weights)), weights)
 
     def dft_coefficients(self, X) -> FockVector:
         """Coefficients a_m = (N lam_m)^{-1/2} sum_k e^{2 pi i k m / N} Psi_k."""

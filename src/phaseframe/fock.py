@@ -313,16 +313,59 @@ def evaluate(psi: FockVector, z):
     """
     if not isinstance(psi, FockVector):
         psi = FockVector(psi)
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    n = np.arange(len(psi))
-    out = np.empty(zs.shape, dtype=complex)
-    for idx, zz in np.ndenumerate(zs):
-        logmag, phase = log_amplitude_parts(n, complex(zz))
-        basis = np.exp(logmag) * np.exp(-1j * phase)
-        out[idx] = np.dot(psi.coefficients, basis)
-    if np.ndim(z) == 0:
-        return complex(out.reshape(())[()])
-    return out
+    log_c = -0.5 * gammaln(np.arange(len(psi)) + 1.0)
+    return series_at(z, log_c, psi.coefficients)
+
+
+# exp(x) rounds to exactly 0 below this: it is under half the smallest
+# subnormal by a factor of e/2
+_LOG_TINY = math.log(np.finfo(float).smallest_subnormal) - 1.0
+# elements of one (points x modes) block of the off-grid series
+_BLOCK = 1 << 14
+
+
+def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
+    """exp(log_offset - |z|^2/2) sum_n exp(log_c_n) w0^n weights_n with
+    w0 = scale * conj(z), for a scalar or an array z (the return matches).
+
+    Every off-grid route is this series.  It runs in log space on blocks of
+    points x modes of at most _BLOCK elements.  Each row is shifted by its
+    largest log term and the shift is folded back by scale_by_exp, so no |z|
+    overflows.  Trailing zero weights, and trailing columns whose every
+    shifted term lies below _LOG_TINY (exp gives exactly 0), are dropped;
+    neither changes a value.  O(points x live modes) work.
+    """
+    zs = np.asarray(z, dtype=complex)
+    w0 = scale * zs.conjugate().ravel()
+    log_pref = log_offset - 0.5 * np.abs(zs.ravel()) ** 2
+    nonzero = np.flatnonzero(weights)
+    K = nonzero[-1] + 1 if nonzero.size else 0
+    out = np.zeros(w0.shape, dtype=complex)
+    if K:
+        n = np.arange(K)
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(w0))
+        theta = np.angle(w0)
+        rows = max(1, _BLOCK // K)
+        for lo in range(0, w0.size, rows):
+            block = slice(lo, lo + rows)
+            with np.errstate(invalid="ignore"):
+                logmag = np.multiply.outer(log_abs[block], n)
+            logmag[:, 0] = 0.0  # w0^0 = 1, also at w0 = 0
+            logmag += log_c[:K]
+            shift = logmag.max(axis=1)
+            logmag -= shift[:, None]
+            # a NaN keeps every column, so it reaches the output
+            live = np.flatnonzero(~(logmag.max(axis=0) < _LOG_TINY))
+            k = live[-1] + 1 if live.size else K
+            terms = np.empty((len(shift), k), dtype=complex)
+            terms.real = logmag[:, :k]
+            np.multiply.outer(theta[block], n[:k], out=terms.imag)
+            np.exp(terms, out=terms)
+            out[block] = scale_by_exp(terms @ weights[:k], log_pref[block] + shift)
+    if zs.ndim == 0:
+        return complex(out[0])
+    return out.reshape(zs.shape)
 
 
 def sample(psi: FockVector, grid: PhaseGrid) -> SampleSet:

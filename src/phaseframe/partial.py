@@ -11,21 +11,23 @@ interpolates the data through the kernel
 
     L_k(z) = (1/N) e^{(p-|z|^2)/2} sum_{n>=0} (lam_n / lhat_{n mod N}) w^n,
 
-with w = conj(z) z_k / p and L_k(z_l) = delta_kl.  Truncating the aliases at
-M <= N-1 and multiplying by (1 + nu_n) undoes the in-band attenuation; that
-is the filtered pipeline.
+with w = conj(z) z_k / p and L_k(z_l) = delta_kl.  Off the grid, L_k(z) and
+sum_k L_k(z) Psi_k are the exact module's kernel series with
+c_n = lam_n / lhat_{n mod N}, built once per call out to the length the
+largest |z| needs, and the weights e^{2 pi i k n/N} or S_{n mod N} gathered
+by residue.  Truncating the aliases at M <= N-1 and multiplying by
+(1 + nu_n) undoes the in-band attenuation; that is the filtered pipeline.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from ._validation import check_order
-from .exact import _Reconstructor, dft_log_scale, recover
-from .fock import FockVector, PhaseGrid, evaluate, grid_samples, scale_by_exp
+from .exact import _Reconstructor, dft_log_scale, kernel_series, recover, unit_row
+from .fock import FockVector, PhaseGrid, evaluate, grid_samples
 from .spectral import SpectralData, log_mode_weight
 
 __all__ = ["PartialReconstructor"]
@@ -89,21 +91,7 @@ class PartialReconstructor(_Reconstructor):
         C(z, z_0) since lhat_0 sums every weight.
         """
         plan = self._plan()
-        grid, log_folded = plan.grid, np.log(plan.folded)
-        k = int(k) % grid.N
-        zk = grid.point(k)
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.empty(zs.shape, dtype=complex)
-        for idx in range(zs.size):
-            zz = complex(zs.flat[idx])
-            logc = _log_ratio(plan, log_folded, zz)
-            w = zz.conjugate() * zk / grid.p
-            s = _power_series(logc, w)
-            pref = 0.5 * (grid.p - abs(zz) ** 2) - math.log(grid.N)
-            out.flat[idx] = scale_by_exp(s, pref)
-        if np.ndim(z) == 0:
-            return complex(out[0])
-        return out
+        return _alias_series(plan, z, unit_row(plan.grid.N, k))
 
     def reconstruct(self, X, z):
         """Projection reconstruction sum_k L_k(z) Psi_k.
@@ -112,21 +100,8 @@ class PartialReconstructor(_Reconstructor):
         sum_k L_k(z) Psi_k = (1/N) e^{(p-|z|^2)/2} sum_n c_n w0^n S_{n mod N}.
         """
         plan = self._plan()
-        grid, log_folded = plan.grid, np.log(plan.folded)
-        S = grid.N * np.fft.ifft(grid_samples(X, grid))
-        zs = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.empty(zs.shape, dtype=complex)
-        for idx in range(zs.size):
-            zz = complex(zs.flat[idx])
-            logc = _log_ratio(plan, log_folded, zz)
-            w0 = zz.conjugate() / math.sqrt(grid.p)
-            weights = S[np.mod(np.arange(len(logc)), grid.N)]
-            s = _power_series(logc, w0, weights)
-            pref = 0.5 * (grid.p - abs(zz) ** 2) - math.log(grid.N)
-            out.flat[idx] = scale_by_exp(s, pref)
-        if np.ndim(z) == 0:
-            return complex(out[0])
-        return out
+        S = plan.grid.N * np.fft.ifft(grid_samples(X, plan.grid))
+        return _alias_series(plan, z, S)
 
     def alias_coefficients(self, X) -> FockVector:
         """Aliases ahat_n for n = 0..n_max.
@@ -151,17 +126,24 @@ class PartialReconstructor(_Reconstructor):
         return float(np.exp(0.5 * (logw[m] + logw[n]) - np.log(plan.folded)[j]))
 
     def projector_matrix(self, size: int | None = None) -> np.ndarray:
-        """Dense leading block of the projector in the number basis."""
+        """Dense leading block of the projector in the number basis
+        (default n_max + 1 rows); nonzero only where m = n (mod N)."""
         plan = self._plan()
         size = plan.n_max + 1 if size is None else int(size)
         if size < 1:
             raise ValueError("size must be >= 1")
-        j = np.mod(np.arange(size), plan.grid.N)
+        N = plan.grid.N
         half = 0.5 * _log_weights(plan, size)
+        log_folded = np.log(plan.folded)
         out = np.zeros((size, size))
-        same = np.equal.outer(j, j)
-        logvals = np.add.outer(half, half) - np.log(plan.folded)[j][None, :]
-        out[same] = np.exp(logvals[same])
+        flat = out.reshape(-1)
+        # nonzero entries pair m and n = m + d N: fill one such diagonal at
+        # a time, so the work space is O(size) beside the output
+        reach = (size - 1) // N
+        for d in range(-reach, reach + 1):
+            m = np.arange(max(0, -d * N), min(size, size - d * N))
+            n = m + d * N
+            flat[m * size + n] = np.exp((half[m] + half[n]) - log_folded[n % N])
         return out
 
     def filter_factors(self, M: int | None = None) -> np.ndarray:
@@ -191,28 +173,15 @@ def _log_weights(plan: SpectralData, size: int) -> np.ndarray:
     return log_mode_weight(np.arange(size), plan.grid.p, plan.grid.N)
 
 
-def _log_ratio(plan: SpectralData, log_folded: np.ndarray, z: complex) -> np.ndarray:
-    """log(lam_n / lhat_{n mod N}) for the off-grid series at z: it runs
-    safely past the modal index max(p, |z| sqrt(p)) of the |w|^n lam_n
-    terms, and never stops before n_max."""
+def _alias_series(plan: SpectralData, z, residue_weights: np.ndarray):
+    """kernel_series with c_n = lam_n / lhat_{n mod N} and weights
+    W_{n mod N}, summed safely past the modal index max(p, |z| sqrt(p)) of
+    the |w0|^n lam_n terms at the largest |z|, and never short of n_max."""
     grid = plan.grid
-    scale = max(grid.p, abs(z) * math.sqrt(grid.p))
+    zs = np.asarray(z, dtype=complex)
+    scale = max(grid.p, float(np.max(np.abs(zs), initial=0.0)) * math.sqrt(grid.p))
     needed = int(math.ceil(scale + 20.0 * math.sqrt(scale) + 10.0 * grid.N))
     size = max(plan.n_max, needed) + 1
-    return _log_weights(plan, size) - log_folded[np.mod(np.arange(size), grid.N)]
-
-
-def _power_series(logc: np.ndarray, w: complex, weights=None) -> complex:
-    """sum_n exp(logc_n) w^n (optionally with extra complex weights per n),
-    evaluated through log magnitudes to tolerate huge n."""
-    n = np.arange(len(logc))
-    aw = abs(w)
-    if aw == 0.0:
-        base = np.exp(logc[0])
-        return complex(base if weights is None else base * weights[0])
-    logmag = logc + n * math.log(aw)
-    phase = np.exp(1j * n * cmath.phase(w))
-    terms = np.exp(logmag) * phase
-    if weights is not None:
-        terms = terms * weights
-    return complex(np.sum(terms))
+    j = np.mod(np.arange(size), grid.N)
+    log_c = _log_weights(plan, size) - np.log(plan.folded)[j]
+    return kernel_series(grid, zs, log_c, residue_weights[j])

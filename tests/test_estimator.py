@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from phaseframe import ExactReconstructor, NotFittedError, PartialReconstructor, spectral
+from phaseframe import (
+    ExactReconstructor,
+    NotFittedError,
+    PartialReconstructor,
+    partial,
+    spectral,
+)
 
 CASES = [
     (ExactReconstructor, dict(N=8, p=5.0, M=5)),
@@ -234,3 +240,36 @@ def test_plan_follows_tolerance_environment(monkeypatch):
     assert not np.allclose(fine, coarse, rtol=1e-12, atol=0.0)
     monkeypatch.delenv("PHASE_FRAME_TOL")
     assert np.array_equal(est.transform(x), fine)
+
+
+def test_partial_kernel_routes_work_per_call(monkeypatch):
+    # the weight series is built once per call, out to the length the
+    # largest |z| needs, not once per point: 500 points reaching far past
+    # n_max cost as many series calls as 5 near the origin
+    calls = {"folded_weight": 0, "log_mode_weight": 0}
+    for module, name in (
+        (spectral, "folded_weight"),
+        (spectral, "log_mode_weight"),
+        (partial, "log_mode_weight"),
+    ):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    rng = np.random.default_rng(53)
+    x = _samples(rng, 16)
+    est = PartialReconstructor(N=16, p=9.0)
+    few = np.linspace(0.1, 2.0, 5) * np.exp(0.7j)
+    many = np.linspace(0.0, 60.0, 500) * np.exp(1j * np.linspace(0.0, 9.0, 500))
+    n_max = est._plan().n_max
+    assert 60.0 * 3.0 + 10 * 16 > n_max  # |z| sqrt(p) + 10 N reaches past it
+    for route in (lambda z: est.reconstruct(x, z), lambda z: est.lagrange_kernel(5, z)):
+        _reset(calls)
+        route(few)
+        per_call = _reset(calls)
+        route(many)
+        assert _reset(calls) == per_call
+        assert per_call["folded_weight"] == 1

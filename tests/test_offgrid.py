@@ -1,0 +1,212 @@
+"""The off-grid series behind evaluate, predict, reconstruct and both kernels."""
+
+import math
+
+import numpy as np
+import pytest
+
+from phaseframe import (
+    ExactReconstructor,
+    FockVector,
+    PartialReconstructor,
+    PhaseGrid,
+    evaluate,
+    sample,
+)
+from phaseframe import fock
+
+U = np.finfo(float).eps / 2
+
+
+def _state(rng, lo, hi):
+    a = np.zeros(hi + 1, dtype=complex)
+    a[lo:] = rng.standard_normal(hi + 1 - lo) + 1j * rng.standard_normal(hi + 1 - lo)
+    return FockVector(a / np.linalg.norm(a))
+
+
+def _routes(N, p, M, seed):
+    """The five off-grid routes on one grid, each a function of z."""
+    rng = np.random.default_rng(seed)
+    psi = _state(rng, 0, M)
+    x = sample(psi, PhaseGrid(N, p)).values
+    exact = ExactReconstructor(N=N, p=p, M=M)
+    partial = PartialReconstructor(N=N, p=p)
+    return {
+        "evaluate": lambda z: evaluate(psi, z),
+        "exact_reconstruct": lambda z: exact.reconstruct(x, z),
+        "sinc_kernel": lambda z: exact.sinc_kernel(3, z),
+        "partial_reconstruct": lambda z: partial.reconstruct(x, z),
+        "lagrange_kernel": lambda z: partial.lagrange_kernel(3, z),
+    }
+
+
+def test_batches_agree_with_single_points():
+    # every route here sums at least M + 1 = 512 modes, so 120 points span
+    # at least 3 blocks; rounding may differ between a block and a single
+    # point (vector lanes and sum lengths), but only in the last digits
+    N, p, M = 512, 256.0, 511
+    z = np.linspace(0.0, 2.5, 120) * math.sqrt(p) * np.exp(1j * np.linspace(0, 40, 120))
+    assert len(z) > 3 * (fock._BLOCK // (M + 1))
+    for name, route in _routes(N, p, M, 11).items():
+        batch = route(z)
+        single = np.array([route(complex(zz)) for zz in z])
+        # the sample routes give an exact 0 where their DFT term is exactly 0
+        gap = np.abs(batch - single) / np.maximum(np.abs(single), np.finfo(float).tiny)
+        assert gap.max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 3)])
+def test_return_type_follows_z(shape):
+    z = np.full(shape, 0.7 - 0.2j)
+    for name, route in _routes(6, 4.0, 5, 13).items():
+        out = route(z if shape else complex(z))
+        if shape:
+            assert isinstance(out, np.ndarray) and out.shape == shape, name
+        else:
+            assert isinstance(out, complex), name
+
+
+def test_origin_keeps_only_the_first_term():
+    psi = FockVector([0.6, 0.8j, 0.0])
+    assert evaluate(psi, 0.0) == pytest.approx(0.6, rel=1e-15)
+    assert np.allclose(evaluate(psi, np.zeros(4)), 0.6, rtol=1e-15)
+    assert evaluate(FockVector([0.0, 0.0]), 1.5 + 2j) == 0
+
+
+def test_far_points_stay_finite():
+    # the series sums e^{|z|^2/2}-sized terms; the log-space shift keeps
+    # them in range, so far-out values underflow to 0 instead of NaN
+    z = np.array([30.0, 300.0j, 1e5 * np.exp(0.4j)])
+    for name, route in _routes(8, 6.0, 7, 17).items():
+        out = route(z)
+        assert np.all(np.isfinite(out)), name
+
+
+# -- a 50-digit reference where the unshifted series overflowed ---------------
+
+REF_N = 2048
+REF_P = 2048.0
+REF_M = REF_N - 1
+REF_POINTS = [
+    r * math.sqrt(REF_P) * np.exp(1j * t) for r in (1.4, 1.5, 1.6) for t in (0.3, 2.0)
+]
+
+
+def _mp_dft(mp, values, roots):
+    """S_m = sum_k e^{2 pi i k m / n} values_k by radix-2 recursion, with
+    roots[j] = e^{2 pi i j / N} and n dividing N."""
+    n = len(values)
+    if n == 1:
+        return list(values)
+    even = _mp_dft(mp, values[0::2], roots)
+    odd = _mp_dft(mp, values[1::2], roots)
+    stride = len(roots) // n
+    out = [None] * n
+    for k in range(n // 2):
+        t = roots[k * stride] * odd[k]
+        out[k] = even[k] + t
+        out[k + n // 2] = even[k] - t
+    return out
+
+
+def _mp_series(mp, z, log_c, c, weights, N, p):
+    """(1/N) e^{(p-|z|^2)/2} sum_n c_n w0^n W_n with w0 = conj(z)/sqrt(p),
+    and the same prefactor times sum_n |c_n w0^n W_n| and sum_n |c_n w0^n|.
+    Only the contiguous run of n whose double log-magnitude
+    log_c_n + n log|w0| lies within 160 of the largest is summed; the rest
+    are below e^-160 < 1e-69 of it."""
+    zm = mp.mpc(z.real, z.imag)
+    w0 = mp.conj(zm) / mp.sqrt(p)
+    log_mag = log_c + np.arange(len(log_c)) * math.log(abs(z) / math.sqrt(p))
+    keep = np.flatnonzero(log_mag >= log_mag.max() - 160.0)
+    power = w0 ** int(keep[0])
+    total = size = size_c = 0
+    for n in range(keep[0], keep[-1] + 1):
+        term = c[n] * power
+        total += term * weights[n]
+        size += abs(term * weights[n])
+        size_c += abs(term)
+        power *= w0
+    pref = mp.exp((p - abs(zm) ** 2) / 2) / N
+    return total * pref, size * pref, size_c * pref
+
+
+def test_far_kernel_routes_match_high_precision_reference():
+    """At N = p = 2048, M = N - 1 and |z| = 1.4..1.6 sqrt(p) the terms
+    |w0|^n of the kernel series pass 1e308; summed without a shift they gave
+    NaN.  The four kernel routes must match a 50-digit evaluation of the
+    same finite sums from the same double samples.
+
+    Rounding model: term n is exp(x_n + i n theta) W_n, with x_n a sum of
+    logarithms each at most n (log n + |log p| + |log|w0|| + 1) in size and
+    |n theta| <= n pi, so for n < K its relative error is below
+    u K (log K + |log p| + |log|w0|| + pi + 1), and the K-term sum adds
+    K u more: c K u sum_n |term_n| with c = log K + |log p| + |log|w0|| +
+    pi + 2.  The sample routes take W_n = S_{n mod N} from a radix-2 FFT,
+    off by at most 2 log2(N) u sum_k |Psi_k| each, which adds that times
+    sum_n |c_n w0^n|.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    N, p, M = REF_N, REF_P, REF_M
+    rng = np.random.default_rng(19)
+    x = sample(_state(rng, 1900, M), PhaseGrid(N, p)).values
+    exact = ExactReconstructor(N=N, p=p, M=M)
+    partial = PartialReconstructor(N=N, p=p)
+    k = 5
+    z = np.array(REF_POINTS)
+
+    roots = [mp.expjpi(mp.mpf(2 * j) / N) for j in range(N)]
+    S = _mp_dft(mp, [mp.mpc(v.real, v.imag) for v in x], roots)
+    unit = [roots[(k * j) % N] for j in range(N)]
+
+    # lam_n = N e^{-p} p^n / n! by recurrence, out to the partial series'
+    # own length (the modal index of the largest |z|, plus the default
+    # 20 sqrt + 10 N margin), with lhat_j summed over every stored member
+    scale = max(p, float(np.max(np.abs(z))) * math.sqrt(p))
+    L = max(
+        math.ceil(p + 20 * math.sqrt(p) + 10 * N),
+        math.ceil(scale + 20 * math.sqrt(scale) + 10 * N),
+    ) + 1
+    lam = [mp.mpf(N) * mp.exp(-p)]
+    for n in range(1, L):
+        lam.append(lam[-1] * p / n)
+    lhat = [mp.fsum(lam[j::N]) for j in range(N)]
+    c_partial = [lam[n] / lhat[n % N] for n in range(L)]
+    log_lhat = np.array([float(mp.log(v)) for v in lhat])
+    n = np.arange(L)
+    log_partial = (
+        math.log(N) - p + n * math.log(p) - np.array([math.lgamma(m + 1) for m in n])
+    ) - log_lhat[n % N]
+    mass = mp.fsum(abs(mp.mpc(v.real, v.imag)) for v in x)
+    exact_c = (np.zeros(M + 1), [mp.mpf(1)] * (M + 1))
+    partial_c = (log_partial, c_partial)
+
+    cases = {
+        "exact_reconstruct": (exact.reconstruct(x, z), exact_c, S[: M + 1], mass),
+        "sinc_kernel": (exact.sinc_kernel(k, z), exact_c, unit[: M + 1], 0),
+        "partial_reconstruct": (
+            partial.reconstruct(x, z),
+            partial_c,
+            [S[n % N] for n in range(L)],
+            mass,
+        ),
+        "lagrange_kernel": (
+            partial.lagrange_kernel(k, z),
+            partial_c,
+            [unit[n % N] for n in range(L)],
+            0,
+        ),
+    }
+    for name, (got, (log_c, c), weights, mass_w) in cases.items():
+        assert np.all(np.isfinite(got)), name
+        K = len(log_c)
+        for i, zz in enumerate(z):
+            ref, size, size_c = _mp_series(mp, zz, log_c, c, weights, N, p)
+            log_w0 = abs(math.log(abs(zz) / math.sqrt(p)))
+            cK = (math.log(K) + abs(math.log(p)) + log_w0 + math.pi + 2) * K
+            tol = U * (cK * size + 2 * math.log2(N) * mass_w * size_c)
+            err = abs(mp.mpc(got[i].real, got[i].imag) - ref)
+            assert err <= tol, (
+                f"{name} at z = {zz:.6g}: error {float(err):.3e} > {float(tol):.3e}"
+            )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,40 @@ def test_projector_matrix_against_dense_oracle():
     # idempotent and of rank N once the materialized block covers the mass
     assert np.max(np.abs(P @ P - P)) < 1e-10
     assert np.trace(P) == pytest.approx(N, abs=1e-10)
+
+
+def _dense_projector(rec, size):
+    """The projector block by its defining formula, all size x size at once."""
+    plan = rec._plan()
+    j = np.mod(np.arange(size), plan.grid.N)
+    half = 0.5 * log_mode_weight(np.arange(size), plan.grid.p, plan.grid.N)
+    out = np.zeros((size, size))
+    same = np.equal.outer(j, j)
+    logvals = np.add.outer(half, half) - np.log(plan.folded)[j][None, :]
+    out[same] = np.exp(logvals[same])
+    return out
+
+
+@pytest.mark.parametrize(
+    "N,p,size", [(1, 2.0, 40), (3, 5.0, None), (8, 6.0, 100), (5, 80.0, 257)]
+)
+def test_projector_matrix_matches_dense_formula(N, p, size):
+    rec = PartialReconstructor(N=N, p=p)
+    P = rec.projector_matrix(size)
+    assert np.array_equal(P, _dense_projector(rec, P.shape[0]))
+
+
+def test_projector_matrix_memory_is_the_output():
+    rec = PartialReconstructor(N=7, p=30.0)
+    size = 1000
+    tracemalloc.start()
+    try:
+        P = rec.projector_matrix(size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert P.shape == (size, size)
+    assert peak <= 1.25 * P.nbytes
 
 
 # -- reconstruction -----------------------------------------------------------
