@@ -72,6 +72,11 @@ def check_finite(arr: np.ndarray, name: str = "values") -> np.ndarray:
     return arr
 
 
+def as_finite_points(z) -> np.ndarray:
+    """Evaluation points z as a complex array; NaN or inf is a ValueError."""
+    return check_finite(np.asarray(z, dtype=complex), "evaluation points z")
+
+
 def check_fitted(obj, attr: str) -> None:
     if getattr(obj, attr, None) is None:
         raise NotFittedError(

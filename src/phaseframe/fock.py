@@ -22,6 +22,7 @@ from scipy.special import gammaln
 
 from ._validation import (
     as_complex_vector,
+    as_finite_points,
     check_grid_size,
     check_mean_number,
     check_order,
@@ -333,9 +334,10 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
     largest log term and the shift is folded back by scale_by_exp, so no |z|
     overflows.  Trailing zero weights, and trailing columns whose every
     shifted term lies below _LOG_TINY (exp gives exactly 0), are dropped;
-    neither changes a value.  O(points x live modes) work.
+    neither changes a value.  O(points x live modes) work.  A NaN or
+    infinite z is a ValueError.
     """
-    zs = np.asarray(z, dtype=complex)
+    zs = as_finite_points(z)
     w0 = scale * zs.conjugate().ravel()
     log_pref = log_offset - 0.5 * np.abs(zs.ravel()) ** 2
     nonzero = np.flatnonzero(weights)

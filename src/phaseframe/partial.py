@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from ._validation import check_order
+from ._validation import as_finite_points, check_order
 from .exact import _Reconstructor, dft_log_scale, kernel_series, recover, unit_row
 from .fock import FockVector, PhaseGrid, evaluate, grid_samples
 from .spectral import SpectralData, log_mode_weight
@@ -178,7 +178,7 @@ def _alias_series(plan: SpectralData, z, residue_weights: np.ndarray):
     W_{n mod N}, summed safely past the modal index max(p, |z| sqrt(p)) of
     the |w0|^n lam_n terms at the largest |z|, and never short of n_max."""
     grid = plan.grid
-    zs = np.asarray(z, dtype=complex)
+    zs = as_finite_points(z)
     scale = max(grid.p, float(np.max(np.abs(zs), initial=0.0)) * math.sqrt(grid.p))
     needed = int(math.ceil(scale + 20.0 * math.sqrt(scale) + 10.0 * grid.N))
     size = max(plan.n_max, needed) + 1

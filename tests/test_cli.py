@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import entry_points
 from pathlib import Path
 
@@ -470,3 +471,128 @@ def test_console_script_declared():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"phaseframe {phaseframe.__version__}"
+
+
+# -- one emitter: CSV cells against the JSON payload ---------------------------
+
+
+def _csv_tables(text):
+    """CSV output as a list of tables, each a dict name -> column of cells."""
+    tables = []
+    for block in text.strip("\n").split("\n\n"):
+        header, *rows = (line.split(",") for line in block.splitlines())
+        tables.append({name: [row[i] for row in rows] for i, name in enumerate(header)})
+    return tables
+
+
+def _json_tables(command, payload):
+    """The JSON values each CSV column of `command` must carry, table by table."""
+    if command == "spectrum":
+        keys = {"j": "j", "lambda_j": "lambda", "lambda_hat_j": "lambda_hat",
+                "nu_j": "nu"}
+        return [{name: payload[key] for name, key in keys.items()}]
+    if command == "sample":
+        values = payload["values"]
+        return [{"k": list(range(len(values))), "re": [v[0] for v in values],
+                 "im": [v[1] for v in values]}]
+    if command == "reconstruct":
+        coeffs, ev = payload["coefficients"], payload["evaluation"]
+        pairs = {"z": ev["points"], "value": ev["values"], "true": ev["reference"]}
+        mesh = {f"{part}_{name}": [v[i] for v in column]
+                for name, column in pairs.items()
+                for i, part in enumerate(("re", "im"))}
+        mesh.update(abs_error=ev["abs_error"], rel_error=ev["rel_error"])
+        return [{"n": list(range(len(coeffs))), "re": [c[0] for c in coeffs],
+                 "im": [c[1] for c in coeffs]}, mesh]
+    if command == "error-sweep":
+        rows = payload["rows"]
+        return [{key: [row[key] for row in rows] for key in rows[0]}]
+    assert command == "droplet"
+    curves = {f"P_{M}": payload["values"][str(M)] for M in payload["M"]}
+    return [{"p": payload["p"], **curves}]
+
+
+@pytest.mark.parametrize(
+    "command", ["spectrum", "sample", "reconstruct", "error-sweep", "droplet"]
+)
+def test_csv_cells_are_the_json_values(command, tmp_path, capsys):
+    rng = np.random.default_rng(17)
+    state = write_state(tmp_path, unit_coeff(rng, 6))
+    argv = {
+        "spectrum": ["spectrum", "--N", "6", "--p", "2.5"],
+        "sample": ["sample", "--N", "8", "--p", "3.0", "--state", state],
+        "reconstruct": ["reconstruct", "--mode", "partial", "--N", "4", "--p", "2.0",
+                        "--state", state, "--eval-mesh", "0:3:4,0:6:5"],
+        "error-sweep": ["error-sweep", "--N", "4,8", "--p", "0.5:6:4",
+                        "--state", state, "--oracle"],
+        "droplet": ["droplet", "--M", "0,7,7,40", "--p-range", "0:60:13"],
+    }[command]
+    assert main(argv) == 0
+    csv = _csv_tables(capsys.readouterr().out)
+    assert main(argv + ["--format", "json"]) == 0
+    expected = _json_tables(command, json.loads(capsys.readouterr().out))
+    assert len(csv) == len(expected)
+    for table, want in zip(csv, expected):
+        assert table.keys() == want.keys()
+        for name, cells in table.items():
+            assert len(cells) == len(want[name])
+            for cell, value in zip(cells, want[name]):
+                parse = int if isinstance(value, int) else float
+                assert parse(cell) == value, (name, cell, value)
+
+
+# -- reconstruct: filtered oracle, non-finite mesh ------------------------------
+
+
+def test_reconstruct_filtered_oracle_agrees(tmp_path, capsys):
+    rng = np.random.default_rng(23)
+    state = write_state(tmp_path, unit_coeff(rng, 6))
+    assert main(
+        ["reconstruct", "--mode", "filtered", "--M", "5", "--N", "8", "--p", "3.0",
+         "--state", state, "--oracle", "--format", "json"]
+    ) == 0
+    captured = capsys.readouterr()
+    deviation = json.loads(captured.out)["oracle_deviation"]
+    assert 0.0 <= deviation < 1e-10
+    assert "oracle max coefficient deviation" in captured.err
+
+
+@pytest.mark.parametrize("mesh", ["inf:inf:1,0:1:1", "nan:1:2,0:1:1"])
+@pytest.mark.parametrize("mode", ["exact", "partial", "filtered"])
+def test_reconstruct_non_finite_mesh_exits_2(mode, mesh, tmp_path, capsys):
+    samp = write_samples(tmp_path, PhaseGrid(4, 2.0), np.ones(4))
+    with np.errstate(invalid="ignore"):
+        code = main(["reconstruct", "--mode", mode, "--samples", samp,
+                     "--eval-mesh", mesh, "--format", "json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+# -- oracle caps before dense work ----------------------------------------------
+
+
+def test_error_sweep_oracle_beyond_caps_exits_3(tmp_path, capsys):
+    state = write_state(tmp_path, [1.0, 0.5])
+    assert main(
+        ["error-sweep", "--N", "64", "--p", "10", "--state", state, "--oracle"]
+    ) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap" in captured.err
+
+
+def test_validate_checks_the_cap_before_dense_builds(capsys):
+    # the N x N dense matrices at N = 2048 would take hundreds of MB
+    tracemalloc.start()
+    try:
+        code = main(["validate", "--N", "2048", "--p", "5.0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 4_000_000
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap" in captured.err

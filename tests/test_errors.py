@@ -20,7 +20,9 @@ from phaseframe import (
     filtered_error_bound,
     truncation_epsilon,
 )
+from phaseframe import errors
 from phaseframe.oracle import OracleSizeError
+from phaseframe.spectral import build_overlap
 
 
 # -- truncation measure -------------------------------------------------------
@@ -204,3 +206,31 @@ def test_assess_measure_control():
     with pytest.raises(OracleSizeError):
         assess(psi, big, measure=True)
     assert assess(psi, PhaseGrid(4, 2.0), measure=False).measured is None
+
+
+def test_assess_allows_for_the_dense_solve_on_ill_conditioned_grids():
+    # cond(B) ~ 2e16 here: the dense Gram solve's rounding, not the series,
+    # puts the measured error of these band-limited states far above their
+    # bound of ~7e-17, and the self-check must not call that a broken series
+    rng = np.random.default_rng(71)
+    grid = PhaseGrid(32, 4.0)
+    assert build_overlap(grid).condition() > 1e15
+    for _ in range(4):
+        a = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        rep = assess(FockVector(a / np.linalg.norm(a)), grid)
+        assert rep.epsilon_N == 0.0
+        assert rep.measured is not None
+
+
+def test_assess_self_check_still_flags_an_excess_on_a_well_conditioned_grid(
+    monkeypatch,
+):
+    # e_0 meets the bound exactly, so 1e-8 on top must exceed the 1e-9 floor
+    grid = PhaseGrid(4, 2.0)
+    assert build_overlap(grid).condition() < 1e3
+    measured = errors.measured_error_sq
+    monkeypatch.setattr(
+        errors, "measured_error_sq", lambda frame, psi: measured(frame, psi) + 1e-8
+    )
+    with pytest.raises(ArithmeticError, match="exceeds the bound"):
+        assess(FockVector.basis_state(0), grid)

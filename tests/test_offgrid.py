@@ -210,3 +210,20 @@ def test_far_kernel_routes_match_high_precision_reference():
             assert err <= tol, (
                 f"{name} at z = {zz:.6g}: error {float(err):.3e} > {float(tol):.3e}"
             )
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, complex(np.nan, 1.0)])
+def test_non_finite_points_are_rejected(z):
+    N, p, M = 8, 4.0, 5
+    psi = _state(np.random.default_rng(29), 0, M)
+    x = sample(psi, PhaseGrid(N, p)).values
+    routes = {
+        **_routes(N, p, M, 29),
+        "exact_predict": ExactReconstructor(N=N, p=p, M=M).fit(x).predict,
+        "partial_predict": PartialReconstructor(N=N, p=p).fit(x).predict,
+    }
+    assert len(routes) == 7
+    for route in routes.values():
+        for points in (z, np.array([0.5, z])):
+            with pytest.raises(ValueError, match="finite"):
+                route(points)
