@@ -106,7 +106,8 @@ def _parse_int_list(spec: str, flag: str) -> list[int]:
 
 
 def _parse_float_spec(spec: str, flag: str) -> list[float]:
-    """Either a comma list '1,2.5,8' or a linspace 'start:stop:count'."""
+    """Either a comma list '1,2.5,8' or a linspace 'start:stop:count', of
+    finite values only (checked before any arithmetic on them)."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -117,13 +118,18 @@ def _parse_float_spec(spec: str, flag: str) -> list[float]:
             raise ValueError(f"malformed {flag} range: {exc}") from exc
         if count < 1:
             raise ValueError(f"{flag} range count must be >= 1")
+        values = [start, stop]
+    else:
+        try:
+            values = [float(tok) for tok in spec.split(",") if tok != ""]
+        except ValueError as exc:
+            raise ValueError(f"{flag} expects numbers: {exc}") from exc
+        if not values:
+            raise ValueError(f"{flag} must name at least one value")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} values must be finite, got {spec!r}")
+    if ":" in spec:
         return [float(x) for x in np.linspace(start, stop, count)]
-    try:
-        values = [float(tok) for tok in spec.split(",") if tok != ""]
-    except ValueError as exc:
-        raise ValueError(f"{flag} expects numbers: {exc}") from exc
-    if not values:
-        raise ValueError(f"{flag} must name at least one value")
     return values
 
 
@@ -325,9 +331,7 @@ def _cmd_validate(args) -> int:
     ks = range(grid.N) if grid.N <= 6 else rng.integers(0, grid.N, 6)
     for k in ks:
         vals = part.lagrange_kernel(int(k), pts)
-        expect = np.zeros(grid.N)
-        expect[int(k)] = 1.0
-        worst = max(worst, float(np.max(np.abs(vals - expect))))
+        worst = max(worst, float(np.max(np.abs(vals - (np.arange(grid.N) == k)))))
     checks.append(("interpolation kernel delta property", worst <= 1e-9, worst))
 
     long_len = min(grid.N + 50, 400)
@@ -335,17 +339,12 @@ def _cmd_validate(args) -> int:
     a2 /= np.linalg.norm(a2)
     report = assess(FockVector(a2), grid, series_tol=args.tol)
     ok = report.measured is None or report.measured <= report.bound + 1e-9
-    checks.append(
-        ("measured error within bound", ok,
-         -1.0 if report.measured is None else report.measured)
-    )
+    measured = -1.0 if report.measured is None else report.measured
+    checks.append(("measured error within bound", ok, measured))
 
-    failed = 0
     for name, ok, value in checks:
-        line = f"{'PASS' if ok else 'FAIL'} {name}: {value:.6e}"
-        print(line)
-        if not ok:
-            failed += 1
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.6e}")
+    failed = sum(not ok for _, ok, _ in checks)
     if failed:
         print(f"{failed} of {len(checks)} checks failed", file=sys.stderr)
         return 1

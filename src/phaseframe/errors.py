@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -173,15 +173,7 @@ class ErrorReport:
     asymptotic: bool
 
     def to_json(self) -> dict:
-        return {
-            "epsilon_N": self.epsilon_N,
-            "nu0": self.nu0,
-            "p0": self.p0,
-            "bound": self.bound,
-            "bound_filtered": self.bound_filtered,
-            "measured": self.measured,
-            "asymptotic": self.asymptotic,
-        }
+        return asdict(self)
 
 
 def assess(
@@ -228,15 +220,7 @@ def assess(
                 f"measured squared error {measured:.6e} exceeds the bound "
                 f"{bound:.6e}; the spectral series or the oracle is broken"
             )
-    return ErrorReport(
-        epsilon_N=eps,
-        nu0=nu0,
-        p0=p0,
-        bound=bound,
-        bound_filtered=bound_f,
-        measured=measured,
-        asymptotic=grid.p < p0,
-    )
+    return ErrorReport(eps, nu0, p0, bound, bound_f, measured, grid.p < p0)
 
 
 def _measure_slack(grid: PhaseGrid, tol: float) -> float:

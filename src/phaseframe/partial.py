@@ -70,7 +70,7 @@ class PartialReconstructor(_Reconstructor):
         """log(sqrt(lam_n) / (lhat_{n mod N} sqrt(N))) for n = 0..n_max."""
         N = plan.grid.N
         j = np.mod(np.arange(plan.n_max + 1), N)
-        return 0.5 * plan.log_weights - np.log(plan.folded)[j] - 0.5 * math.log(N)
+        return 0.5 * plan.log_weights - plan.log_folded[j] - 0.5 * math.log(N)
 
     # -- data interface -----------------------------------------------------
 
@@ -123,7 +123,7 @@ class PartialReconstructor(_Reconstructor):
             return 0.0
         logw = _log_weights(plan, max(m, n) + 1)
         j = n % plan.grid.N
-        return float(np.exp(0.5 * (logw[m] + logw[n]) - np.log(plan.folded)[j]))
+        return float(np.exp(0.5 * (logw[m] + logw[n]) - plan.log_folded[j]))
 
     def projector_matrix(self, size: int | None = None) -> np.ndarray:
         """Dense leading block of the projector in the number basis
@@ -134,7 +134,6 @@ class PartialReconstructor(_Reconstructor):
             raise ValueError("size must be >= 1")
         N = plan.grid.N
         half = 0.5 * _log_weights(plan, size)
-        log_folded = np.log(plan.folded)
         out = np.zeros((size, size))
         flat = out.reshape(-1)
         # nonzero entries pair m and n = m + d N: fill one such diagonal at
@@ -143,7 +142,7 @@ class PartialReconstructor(_Reconstructor):
         for d in range(-reach, reach + 1):
             m = np.arange(max(0, -d * N), min(size, size - d * N))
             n = m + d * N
-            flat[m * size + n] = np.exp((half[m] + half[n]) - log_folded[n % N])
+            flat[m * size + n] = np.exp((half[m] + half[n]) - plan.log_folded[n % N])
         return out
 
     def filter_factors(self, M: int | None = None) -> np.ndarray:
@@ -183,5 +182,5 @@ def _alias_series(plan: SpectralData, z, residue_weights: np.ndarray):
     needed = int(math.ceil(scale + 20.0 * math.sqrt(scale) + 10.0 * grid.N))
     size = max(plan.n_max, needed) + 1
     j = np.mod(np.arange(size), grid.N)
-    log_c = _log_weights(plan, size) - np.log(plan.folded)[j]
+    log_c = _log_weights(plan, size) - plan.log_folded[j]
     return kernel_series(grid, zs, log_c, residue_weights[j])

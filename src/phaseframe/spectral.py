@@ -10,12 +10,25 @@ Hermitian circulant whose eigenvalues are the periodized sums
 
     lhat_j = sum_{q >= 0} lam_{j + qN},   j = 0..N-1.
 
-The relative excess nu_j = (lhat_j - lam_j)/lam_j measures how much aliased
-weight a residue class carries and controls the reconstruction error.
+The relative excess nu_n = (lhat_n - lam_n)/lam_n = sum_{u >= 1} n! p^{uN} /
+(n + uN)! measures how much aliased weight a residue class carries and
+controls the reconstruction error.
+
+Both series run through one log-space routine, _log_fold, on (rows x N)
+blocks of the terms at m = j + qN with a running logaddexp down q.  Rows
+whose every m is at most p - 40 sqrt(p) - N are skipped: the Poisson pmf is
+log-concave and rises up to p, so each such term is below e^{-799} of its
+column's term in (p - N, p] and changes neither sum.  The sum stops at the
+first row q with q N > p whose new terms are all at most series_tol times
+the running sums.  The first block ends one row past the predicted stop
+(p + (sqrt(2 |log tol|) + 4) sqrt(p)) / N, the row that column 0 needs when
+lam_0 is below lam_N.  Blocks have max(1, _BLOCK // 4N) rows, so their live
+temporaries hold about fock._BLOCK elements.  Cost: O(sqrt(p) + N) terms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
@@ -26,13 +39,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._validation import check_grid_size, check_mean_number, check_order, check_tol
-from .fock import PhaseGrid, cs_overlap
+from .fock import _BLOCK, PhaseGrid, cs_overlap
 
 __all__ = [
     "DEFAULT_SERIES_TOL",
     "resolve_series_tol",
     "log_mode_weight",
     "mode_weight",
+    "log_folded_weight",
     "folded_weight",
     "log_aliasing_excess",
     "aliasing_excess",
@@ -50,9 +64,6 @@ __all__ = [
 
 DEFAULT_SERIES_TOL = 1e-16
 _TOL_ENV_VAR = "PHASE_FRAME_TOL"
-
-# safety cap on series iterations; generous against any sane (p, N)
-_MAX_FOLD_STEPS = 200_000
 
 
 def resolve_series_tol(series_tol: float | None = None) -> float:
@@ -77,7 +88,11 @@ def log_mode_weight(m, p, N) -> np.ndarray:
     mf = np.asarray(m, dtype=float)
     if np.any(mf < 0):
         raise ValueError("mode index must be >= 0")
-    return math.log(N) - p + mf * math.log(p) - gammaln(mf + 1.0)
+    return _log_weight(mf, p, N)
+
+
+def _log_weight(m: np.ndarray, p: float, N: int) -> np.ndarray:
+    return math.log(N) - p + m * math.log(p) - gammaln(m + 1.0)
 
 
 def mode_weight(m, p, N):
@@ -87,61 +102,64 @@ def mode_weight(m, p, N):
     drops below double range.
     """
     out = np.exp(log_mode_weight(m, p, N))
-    if np.ndim(m) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(m) == 0 else out
+
+
+def _log_fold(p: float, N: int, tol: float, start: int, term) -> tuple[np.ndarray, int]:
+    """(log sum_{q >= start} exp(term(m, qN)) per column j, q*) with m = j + qN,
+    summed up to the stop row q*: head bound, stop rule and block sizes are
+    in the module docstring; each extension doubles the rows summed so far."""
+    if p > 2.0**52:  # the indices m near p must be exact doubles
+        raise ValueError(f"mean number p = {p:g} is beyond 2^52, too large to fold")
+    log_tol = math.log(tol)
+    root = math.sqrt(p)
+    first = max(start, math.floor((p - 40.0 * root) / N) - 1)
+    hi = max(first, math.ceil((p + (math.sqrt(-2.0 * log_tol) + 4.0) * root) / N)) + 2
+    rows = max(1, _BLOCK // (4 * N))  # four block-sized temporaries live at once
+    j = np.arange(N, dtype=float)
+    run, lo = np.full(N, -np.inf), first
+    for _ in itertools.count():
+        qN = np.arange(lo, min(hi, lo + rows), dtype=float)[:, None] * N
+        terms = term(qN + j, qN)
+        sums = np.logaddexp.accumulate(np.vstack([run, terms]), axis=0)[1:]
+        done = (qN[:, 0] > p) & np.all(terms <= log_tol + sums, axis=1)
+        if done.any():
+            k = int(np.argmax(done))
+            return sums[k], lo + k
+        run, lo = sums[-1], lo + len(terms)
+        hi = max(hi, 2 * lo - first)
+
+
+def log_folded_weight(p, N, series_tol: float | None = None) -> np.ndarray:
+    """log lhat_j = log sum_{q >= 0} lam_{j+qN} for j = 0..N-1, finite even
+    where lhat_j underflows double range."""
+    p = check_mean_number(p)
+    N = check_grid_size(N)
+    tol = resolve_series_tol(series_tol)
+    return _log_fold(p, N, tol, 0, lambda m, qN: _log_weight(m, p, N))[0]
 
 
 def folded_weight(p, N, series_tol: float | None = None) -> np.ndarray:
-    """Periodized weights lhat_j = sum_q lam_{j+qN} for j = 0..N-1.
+    """Periodized weights lhat_j = sum_q lam_{j+qN}, j = 0..N-1: the exp of
+    log_folded_weight, so an lhat_j below double range is 0.  Summed from the
+    head bound to the first q with q N > p whose terms are all at most
+    series_tol times the running sums; O(sqrt(p) + N) terms."""
+    return np.exp(log_folded_weight(p, N, series_tol))
 
-    The q sum stops once the block index has passed the Poisson mode
-    (q*N > p) and the freshly added terms are below series_tol times the
-    running partial sums.
+
+def log_aliasing_excess(p, N, series_tol: float | None = None) -> np.ndarray:
+    """log(nu_n) for n = 0..N-1, finite even where nu underflows double range.
+
+    The terms n! p^{uN} / (n+uN)! are summed from u = 1 (or the head bound)
+    to the first u with u N > p whose terms are all at most series_tol times
+    the running sums; O(sqrt(p) + N) terms.
     """
     p = check_mean_number(p)
     N = check_grid_size(N)
     tol = resolve_series_tol(series_tol)
-    j = np.arange(N)
-    total = np.zeros(N)
-    q = 0
-    while True:
-        terms = np.exp(log_mode_weight(q * N + j, p, N))
-        total += terms
-        if q * N > p and np.all(terms <= tol * total):
-            break
-        q += 1
-        if q > _MAX_FOLD_STEPS:
-            raise RuntimeError("periodized weight series failed to converge")
-    return total
-
-
-def _log_excess_terms(p, N, series_tol):
-    """Log of the u-series terms n! p^{uN} / (n+uN)!, accumulated until the
-    same stopping rule as folded_weight is met.  Returns the running
-    logsumexp accumulator, one entry per n = 0..N-1."""
-    tol = resolve_series_tol(series_tol)
-    log_tol = math.log(tol)
-    n = np.arange(N, dtype=float)
-    base = gammaln(n + 1.0)
-    accum = np.full(N, -np.inf)
-    u = 1
-    while True:
-        lt = base - gammaln(n + u * N + 1.0) + u * N * math.log(p)
-        accum = np.logaddexp(accum, lt)
-        if u * N > p and np.all(lt <= log_tol + accum):
-            break
-        u += 1
-        if u > _MAX_FOLD_STEPS:
-            raise RuntimeError("aliasing excess series failed to converge")
-    return accum
-
-
-def log_aliasing_excess(p, N, series_tol: float | None = None) -> np.ndarray:
-    """log(nu_n) for n = 0..N-1, stable even where nu underflows double range."""
-    p = check_mean_number(p)
-    N = check_grid_size(N)
-    return _log_excess_terms(p, N, series_tol)
+    log_p = math.log(p)
+    base = gammaln(np.arange(N) + 1.0)
+    return _log_fold(p, N, tol, 1, lambda m, qN: base - gammaln(m + 1.0) + qN * log_p)[0]
 
 
 def aliasing_excess(p, N, series_tol: float | None = None) -> np.ndarray:
@@ -189,8 +207,9 @@ class SpectralData:
     """Weight arrays for one grid: the plan that every reconstruction reads.
 
     weights[m] = lam_m for m = 0..n_max, folded[j] = lhat_j and
-    excess[j] = nu_j for j = 0..N-1.  Each array is computed on first read
-    and then kept, so a caller pays only for the series it reads.
+    excess[j] = nu_j for j = 0..N-1, each beside its log.  Each array is
+    computed on first read and then kept, so a caller pays only for the
+    series it reads.
     """
 
     grid: PhaseGrid
@@ -221,8 +240,12 @@ class SpectralData:
         return np.exp(self.log_weights)
 
     @cached_property
+    def log_folded(self) -> np.ndarray:
+        return log_folded_weight(self.grid.p, self.grid.N, self.series_tol)
+
+    @cached_property
     def folded(self) -> np.ndarray:
-        return folded_weight(self.grid.p, self.grid.N, self.series_tol)
+        return np.exp(self.log_folded)
 
     @cached_property
     def log_excess(self) -> np.ndarray:
@@ -340,16 +363,11 @@ def rfm_orthogonality_check(N, M, tol: float = 1e-12) -> bool:
     return rfm_orthogonality_defect(N, M) <= tol
 
 
-def _check_grid_pair(grid) -> PhaseGrid:
-    if not isinstance(grid, PhaseGrid):
-        raise ValueError("grid must be a PhaseGrid")
-    return grid
-
-
 def overlap_from_points(grid: PhaseGrid) -> np.ndarray:
     """Dense Gram matrix built pairwise from cs_overlap; independent of the
     circulant closed form, used for cross-checks."""
-    grid = _check_grid_pair(grid)
+    if not isinstance(grid, PhaseGrid):
+        raise ValueError("grid must be a PhaseGrid")
     zs = grid.points()
     out = np.empty((grid.N, grid.N), dtype=complex)
     for a in range(grid.N):

@@ -557,17 +557,33 @@ def test_reconstruct_filtered_oracle_agrees(tmp_path, capsys):
     assert "oracle max coefficient deviation" in captured.err
 
 
-@pytest.mark.parametrize("mesh", ["inf:inf:1,0:1:1", "nan:1:2,0:1:1"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mesh", ["inf:inf:1,0:1:1", "nan:1:2,0:1:1", "0:1:2,0:inf:3",
+                                  "1,inf", "0:1:2,nan"])
 @pytest.mark.parametrize("mode", ["exact", "partial", "filtered"])
 def test_reconstruct_non_finite_mesh_exits_2(mode, mesh, tmp_path, capsys):
+    # the parser rejects the value before numpy sees it, so no RuntimeWarning
     samp = write_samples(tmp_path, PhaseGrid(4, 2.0), np.ones(4))
-    with np.errstate(invalid="ignore"):
-        code = main(["reconstruct", "--mode", mode, "--samples", samp,
-                     "--eval-mesh", mesh, "--format", "json"])
+    code = main(["reconstruct", "--mode", mode, "--samples", samp,
+                 "--eval-mesh", mesh, "--format", "json"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_non_finite_mesh_stderr_holds_only_the_error(tmp_path):
+    samp = write_samples(tmp_path, PhaseGrid(4, 2.0), np.ones(4))
+    src = str(Path(phaseframe.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "phaseframe.cli", "reconstruct", "--mode", "exact",
+         "--samples", samp, "--eval-mesh", "inf:inf:1,0:1:1"],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "must be finite" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 # -- oracle caps before dense work ----------------------------------------------

@@ -180,7 +180,7 @@ def test_transform_stack_keeps_mode_weight_warning():
 def series_calls(monkeypatch):
     """Count calls to the two spectral series; the plan reads them through
     the spectral module."""
-    calls = {"folded_weight": 0, "log_aliasing_excess": 0}
+    calls = {"log_folded_weight": 0, "log_aliasing_excess": 0}
     for name in calls:
         original = getattr(spectral, name)
 
@@ -209,7 +209,7 @@ def test_exact_routes_run_no_series(series_calls):
     est.dft_coefficients(x)
     est.sinc_kernel(3, z)
     PartialReconstructor(N=16, p=9.0).reconstruct_filtered(x, 12)
-    assert series_calls == {"folded_weight": 0, "log_aliasing_excess": 0}
+    assert series_calls == {"log_folded_weight": 0, "log_aliasing_excess": 0}
 
 
 def test_partial_routes_fold_once(series_calls):
@@ -217,7 +217,7 @@ def test_partial_routes_fold_once(series_calls):
     x = _samples(rng, 16)
     z = np.linspace(0.0, 6.0, 50) * np.exp(1.1j)
     est = PartialReconstructor(N=16, p=9.0)
-    once = {"folded_weight": 1, "log_aliasing_excess": 0}
+    once = {"log_folded_weight": 1, "log_aliasing_excess": 0}
     est.transform(np.stack([x, x]))
     assert _reset(series_calls) == once
     est.reconstruct(x, z)
@@ -225,7 +225,7 @@ def test_partial_routes_fold_once(series_calls):
     est.lagrange_kernel(5, z)
     assert _reset(series_calls) == once
     est.filter_factors()
-    assert _reset(series_calls) == {"folded_weight": 0, "log_aliasing_excess": 1}
+    assert _reset(series_calls) == {"log_folded_weight": 0, "log_aliasing_excess": 1}
 
 
 def test_plan_follows_tolerance_environment(monkeypatch):
@@ -246,9 +246,9 @@ def test_partial_kernel_routes_work_per_call(monkeypatch):
     # the weight series is built once per call, out to the length the
     # largest |z| needs, not once per point: 500 points reaching far past
     # n_max cost as many series calls as 5 near the origin
-    calls = {"folded_weight": 0, "log_mode_weight": 0}
+    calls = {"log_folded_weight": 0, "log_mode_weight": 0}
     for module, name in (
-        (spectral, "folded_weight"),
+        (spectral, "log_folded_weight"),
         (spectral, "log_mode_weight"),
         (partial, "log_mode_weight"),
     ):
@@ -272,4 +272,4 @@ def test_partial_kernel_routes_work_per_call(monkeypatch):
         per_call = _reset(calls)
         route(many)
         assert _reset(calls) == per_call
-        assert per_call["folded_weight"] == 1
+        assert per_call["log_folded_weight"] == 1

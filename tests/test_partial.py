@@ -21,7 +21,7 @@ from phaseframe import (
 )
 from phaseframe.fock import scale_by_exp
 from phaseframe.oracle import DenseFrame, dense_project
-from phaseframe.spectral import default_n_max, log_mode_weight
+from phaseframe.spectral import default_n_max, log_folded_weight, log_mode_weight
 
 
 def unit_state(rng, length):
@@ -163,7 +163,7 @@ def _dense_projector(rec, size):
     half = 0.5 * log_mode_weight(np.arange(size), plan.grid.p, plan.grid.N)
     out = np.zeros((size, size))
     same = np.equal.outer(j, j)
-    logvals = np.add.outer(half, half) - np.log(plan.folded)[j][None, :]
+    logvals = np.add.outer(half, half) - plan.log_folded[j][None, :]
     out[same] = np.exp(logvals[same])
     return out
 
@@ -287,7 +287,7 @@ def test_filtered_rejects_m_at_or_above_n():
 def _all_aliases(N, p, X):
     """Every alias n = 0..default n_max, materialized in full."""
     n = np.arange(default_n_max(p, N) + 1)
-    log_folded = np.log(folded_weight(p, N))
+    log_folded = log_folded_weight(p, N)
     logmag = 0.5 * log_mode_weight(n, p, N) - log_folded[n % N] - 0.5 * math.log(N)
     S = N * np.fft.ifft(X, axis=-1)
     return scale_by_exp(S[..., n % N], logmag)
