@@ -45,15 +45,6 @@ def check_order(M, name: str = "M") -> int:
     return M
 
 
-def check_tol(tol, name: str = "series_tol") -> float:
-    if not isinstance(tol, numbers.Real):
-        raise ValueError(f"{name} must be a real scalar, got {tol!r}")
-    tol = float(tol)
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"{name} must lie in (0, 1), got {tol}")
-    return tol
-
-
 def as_complex_vector(values, name: str = "values") -> np.ndarray:
     """Coerce to a finite 1-d complex array (always a fresh copy)."""
     arr = np.array(values, dtype=complex)

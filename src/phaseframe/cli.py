@@ -37,6 +37,7 @@ from .oracle import (
 )
 from .partial import PartialReconstructor
 from .spectral import (
+    SERIES_TOL,
     SpectralData,
     aliasing_excess,
     build_overlap,
@@ -152,12 +153,12 @@ def _parse_eval_mesh(spec: str) -> np.ndarray:
 
 def _cmd_spectrum(args) -> int:
     grid = _build_grid(args.N, args.p)
-    data = SpectralData.build(grid, series_tol=args.tol)
+    data = SpectralData.build(grid)
     weights = data.weights[: grid.N]
     payload = {
         "N": grid.N,
         "p": grid.p,
-        "series_tol": data.series_tol,
+        "series_tol": SERIES_TOL,
         "j": list(range(grid.N)),
         "lambda": weights.tolist(),
         "lambda_hat": data.folded.tolist(),
@@ -197,7 +198,7 @@ def _reconstruct_inputs(args):
     return sample(truth, grid), truth
 
 
-def _referee(mode: str, sset: SampleSet, state: FockVector, M, tol) -> np.ndarray:
+def _referee(mode: str, sset: SampleSet, state: FockVector, M) -> np.ndarray:
     """The dense oracle's coefficients for one reconstruct mode."""
     grid = sset.grid
     if mode == "exact":
@@ -208,7 +209,7 @@ def _referee(mode: str, sset: SampleSet, state: FockVector, M, tol) -> np.ndarra
     # filtered: project onto the sample span, then apply the in-band gains
     frame = DenseFrame.build(grid, default_n_max(grid.p, grid.N))
     aliases = frame.T.conj().T @ frame.solve_gram(sset.values)
-    gains = 1.0 + aliasing_excess(grid.p, grid.N, tol)
+    gains = 1.0 + aliasing_excess(grid.p, grid.N)
     return aliases[: M + 1] * gains[: M + 1]
 
 
@@ -221,18 +222,18 @@ def _cmd_reconstruct(args) -> int:
                 "partial mode materializes every alias; --M only applies to "
                 "exact or filtered mode"
             )
-        rec = PartialReconstructor(N=grid.N, p=grid.p, series_tol=args.tol)
+        rec = PartialReconstructor(N=grid.N, p=grid.p)
         state = rec.alias_coefficients(sset.values)
     else:
         # the filtered pipeline is the oversampled DFT recovery of modes 0..M
         M = grid.N - 1 if M is None else M
         if not 0 <= M < grid.N:
             raise ValueError(f"{mode} mode needs 0 <= M < N; got M = {M}, N = {grid.N}")
-        rec = ExactReconstructor(N=grid.N, p=grid.p, M=M, series_tol=args.tol)
+        rec = ExactReconstructor(N=grid.N, p=grid.p, M=M)
         state = rec.dft_coefficients(sset.values)
     payload = {**state.to_json(), "mode": mode, "grid": grid.to_json()}
     if args.oracle:
-        ref = _referee(mode, sset, state, M, args.tol)
+        ref = _referee(mode, sset, state, M)
         payload["oracle_deviation"] = float(np.max(np.abs(state.coefficients - ref)))
         print(
             f"oracle max coefficient deviation: {payload['oracle_deviation']:.3e}",
@@ -272,7 +273,7 @@ def _cmd_error_sweep(args) -> int:
     for N in Ns:
         for p in ps:
             grid = _build_grid(N, p)
-            report = assess(psi, grid, args.tol, measure=args.oracle).to_json()
+            report = assess(psi, grid, measure=args.oracle).to_json()
             rows.append({"N": N, "p": p, **{k: report[k] for k in _SWEEP_FIELDS}})
     names = ["N", "p", *_SWEEP_FIELDS[: 5 if args.oracle else 4]]
     _emit(args, {"rows": rows}, [(key, [row[key] for row in rows]) for key in names])
@@ -298,18 +299,17 @@ def _cmd_validate(args) -> int:
     # before the other checks build anything of size N x N; the residual is
     # taken on unit Fourier columns (entries 1/sqrt(N)), so sqrt(N) times it
     # reads an eigenvalue error d as d
-    eig_defect = dense_eig_check(grid, args.tol) * math.sqrt(grid.N)
+    eig_defect = dense_eig_check(grid) * math.sqrt(grid.N)
     rng = np.random.default_rng(args.seed)
     checks = []
 
-    data = SpectralData.build(grid, series_tol=args.tol)
-    defect = data.weight_sum_defect()
+    defect = SpectralData.build(grid).weight_sum_defect()
     checks.append(("weight partition sum", defect <= 1e-10 * grid.N, defect))
 
     d = rfm_orthogonality_defect(grid.N, grid.N - 1)
     checks.append(("root-of-unity orthogonality", d <= 1e-12, d))
 
-    overlap = build_overlap(grid, args.tol)
+    overlap = build_overlap(grid)
     d = overlap.series_dft_defect()
     checks.append(("eigenvalue series vs DFT (scale-relative)", d <= 1e-10, d))
 
@@ -320,12 +320,12 @@ def _cmd_validate(args) -> int:
     a /= np.linalg.norm(a)
     psi = FockVector(a)
     samples = sample(psi, grid)
-    rec = ExactReconstructor(N=grid.N, p=grid.p, M=grid.N - 1, series_tol=args.tol)
+    rec = ExactReconstructor(N=grid.N, p=grid.p, M=grid.N - 1)
     got = rec.dft_coefficients(samples.values)
     d = float(np.max(np.abs(got.coefficients - a)))
     checks.append(("exact round trip on this grid", d <= 1e-9, d))
 
-    part = PartialReconstructor(N=grid.N, p=grid.p, series_tol=args.tol)
+    part = PartialReconstructor(N=grid.N, p=grid.p)
     pts = grid.points()
     worst = 0.0
     ks = range(grid.N) if grid.N <= 6 else rng.integers(0, grid.N, 6)
@@ -337,7 +337,7 @@ def _cmd_validate(args) -> int:
     long_len = min(grid.N + 50, 400)
     a2 = rng.standard_normal(long_len) + 1j * rng.standard_normal(long_len)
     a2 /= np.linalg.norm(a2)
-    report = assess(FockVector(a2), grid, series_tol=args.tol)
+    report = assess(FockVector(a2), grid)
     ok = report.measured is None or report.measured <= report.bound + 1e-9
     measured = -1.0 if report.measured is None else report.measured
     checks.append(("measured error within bound", ok, measured))
@@ -360,14 +360,10 @@ def _add_grid(p: argparse.ArgumentParser, *, required: bool) -> None:
                    help="mean particle number (circle radius squared)")
 
 
-def _add_options(p: argparse.ArgumentParser, *, output=True, tol=True) -> None:
-    if output:
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format (default csv)")
-    if tol:
-        p.add_argument("--tol", type=float, default=None,
-                       help="series tolerance override (or env PHASE_FRAME_TOL)")
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="output file (default stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,18 +376,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="weight table of a grid")
     _add_grid(sp, required=True)
-    _add_options(sp)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
     sp = sub.add_parser("sample", help="evaluate a state on a grid")
     _add_grid(sp, required=True)
-    _add_options(sp)
+    _add_output(sp)
     sp.add_argument("--state", required=True, help="state JSON file")
     sp.set_defaults(func=_cmd_sample)
 
     sp = sub.add_parser("reconstruct", help="recover coefficients from samples")
     _add_grid(sp, required=False)
-    _add_options(sp)
+    _add_output(sp)
     sp.add_argument("--mode", choices=("exact", "partial", "filtered"),
                     required=True)
     sp.add_argument("--M", type=int, default=None,
@@ -412,20 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", required=True, help="state JSON file")
     sp.add_argument("--oracle", action="store_true",
                     help="add the dense measured error column")
-    _add_options(sp)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_error_sweep)
 
     sp = sub.add_parser("droplet", help="truncation projector curves P_M(p)")
     sp.add_argument("--M", required=True, help="comma list of orders")
     sp.add_argument("--p-range", dest="p_range", required=True,
                     help="start:stop:count radii range (or comma list)")
-    _add_options(sp, tol=False)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_droplet)
 
     sp = sub.add_parser("validate", help="grid self-check against the oracle")
     _add_grid(sp, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    _add_options(sp, output=False)
     sp.set_defaults(func=_cmd_validate)
 
     return ap

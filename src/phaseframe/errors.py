@@ -26,13 +26,7 @@ from scipy.special import gammaln
 from ._validation import check_grid_size, check_order
 from .fock import CoherentPoint, FockVector, PhaseGrid
 from .oracle import DenseFrame, OracleSizeError, measured_error_sq
-from .spectral import (
-    aliasing_excess,
-    build_overlap,
-    critical_radius,
-    default_n_max,
-    resolve_series_tol,
-)
+from .spectral import aliasing_excess, build_overlap, critical_radius, default_n_max
 
 __all__ = [
     "truncation_epsilon",
@@ -72,13 +66,14 @@ def truncation_epsilon(psi: FockVector, M: int) -> float:
     return math.sqrt(min(1.0, ratio))
 
 
-def droplet(M: int, p: float) -> float:
-    """P_M(p) = e^{-p} sum_{m=0}^{M} p^m/m!, evaluated in log space.
+def _poisson_tails(M: int, p) -> tuple[float, float]:
+    """(P_M(p), 1 - P_M(p)) for an order M and a radius p >= 0.
 
-    Integer-order regularized incomplete gamma as an explicit Poisson sum;
-    decreases monotonically from 1 at p = 0 towards 0, stepping near
-    p_c = M+1 with width sqrt(M+1).  Left of the step the complement (upper
-    tail) is summed instead, so the plateau at 1 is flat to the last bit.
+    The tail on the far side of the step p_c = M+1 is summed term by term in
+    log space and the near one is its complement, so the small tail keeps its
+    full relative precision.  The terms fall at ratio p/m above M and m/p at
+    and below M, so span = 45 sqrt(max(p, M+1)) + 60 terms next to M hold
+    all but e^{-span^2/2 max(p, M+1)} < e^{-1000} of the sum.
     """
     M = check_order(M, "M")
     if isinstance(p, numbers.Real):
@@ -88,23 +83,37 @@ def droplet(M: int, p: float) -> float:
     if not (math.isfinite(p) and p >= 0.0):
         raise ValueError(f"p must be finite and >= 0, got {p}")
     if p == 0.0:
-        return 1.0
+        return 1.0, 0.0
+    span = int(math.ceil(45.0 * math.sqrt(max(p, M + 1.0)) + 60.0))
     if p < M + 1.0:
-        # terms beyond M decay at ratio p/m < 1; forty-odd widths of margin
-        span = int(math.ceil(45.0 * math.sqrt(max(p, M + 1.0)) + 60.0))
         m = np.arange(M + 1, M + 1 + span, dtype=float)
-        sf = float(np.sum(np.exp(-p + m * math.log(p) - gammaln(m + 1.0))))
-        return max(0.0, 1.0 - sf)
-    m = np.arange(M + 1, dtype=float)
-    total = float(np.sum(np.exp(-p + m * math.log(p) - gammaln(m + 1.0))))
-    return min(1.0, total)
+    else:
+        m = np.arange(max(0, M + 1 - span), M + 1, dtype=float)
+    far = float(np.sum(np.exp(-p + m * math.log(p) - gammaln(m + 1.0))))
+    if p < M + 1.0:
+        return max(0.0, 1.0 - far), far
+    total = min(1.0, far)
+    return total, 1.0 - total
+
+
+def droplet(M: int, p: float) -> float:
+    """P_M(p) = e^{-p} sum_{m=0}^{M} p^m/m!, evaluated in log space.
+
+    Integer-order regularized incomplete gamma as an explicit Poisson sum;
+    decreases monotonically from 1 at p = 0 towards 0, stepping near
+    p_c = M+1 with width sqrt(M+1).  Left of the step the complement (upper
+    tail) is summed instead, so the plateau at 1 is flat to the last bit.
+    Either sum takes O(sqrt(max(p, M))) terms.
+    """
+    return _poisson_tails(M, p)[0]
 
 
 def coherent_epsilon(p=None, N=None, *, zeta=None) -> float:
     """Squared truncation mass eps_N^2 of a coherent state: 1 - P_{N-1}(p).
 
     Accepts either the mean number p directly or the coherent label zeta
-    (then p = |zeta|^2).
+    (then p = |zeta|^2).  Left of the step the upper tail is summed directly,
+    so a tiny eps_N^2 keeps its relative precision instead of rounding to 0.
     """
     if zeta is not None:
         if p is not None:
@@ -114,15 +123,12 @@ def coherent_epsilon(p=None, N=None, *, zeta=None) -> float:
     if p is None:
         raise ValueError("missing mean number p (or zeta)")
     N = check_grid_size(N)
-    p = float(p)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValueError(f"p must be finite and >= 0, got {p}")
-    return 1.0 - droplet(N - 1, p)
+    return _poisson_tails(N - 1, float(p))[1]
 
 
-def _resolve_nu0(p, N, nu0, series_tol=None) -> float:
+def _resolve_nu0(p, N, nu0) -> float:
     if nu0 is None:
-        return float(aliasing_excess(p, N, series_tol)[0])
+        return float(aliasing_excess(p, N)[0])
     nu0 = float(nu0)
     if not (math.isfinite(nu0) and nu0 >= 0.0):
         raise ValueError(f"nu0 must be finite and >= 0, got {nu0}")
@@ -136,10 +142,10 @@ def _check_eps(eps) -> float:
     return eps
 
 
-def error_bound(eps, p, N, nu0=None, series_tol=None) -> float:
+def error_bound(eps, p, N, nu0=None) -> float:
     """Upper bound on the squared relative projection error E^2."""
     eps = _check_eps(eps)
-    nu0 = _resolve_nu0(p, N, nu0, series_tol)
+    nu0 = _resolve_nu0(p, N, nu0)
     comp = math.sqrt(max(0.0, 1.0 - eps * eps))
     return nu0 / (1.0 + nu0) + 2.0 * eps * comp + eps * eps * (2.0 + nu0) / (1.0 + nu0)
 
@@ -152,11 +158,11 @@ def asymptotic_error_bound(eps) -> float:
     return 2.0 * eps * comp + 2.0 * eps * eps
 
 
-def filtered_error_bound(eps, p, N, nu0=None, series_tol=None) -> float:
+def filtered_error_bound(eps, p, N, nu0=None) -> float:
     """Upper bound eps^2 (1 + (1+nu_0)^2) on the squared error of the
     truncate-and-filter pipeline."""
     eps = _check_eps(eps)
-    nu0 = _resolve_nu0(p, N, nu0, series_tol)
+    nu0 = _resolve_nu0(p, N, nu0)
     return eps * eps * (1.0 + (1.0 + nu0) ** 2)
 
 
@@ -179,7 +185,6 @@ class ErrorReport:
 def assess(
     psi: FockVector,
     grid: PhaseGrid,
-    series_tol: float | None = None,
     measure: bool | None = None,
 ) -> ErrorReport:
     """Full error budget for reconstructing psi from grid samples.
@@ -195,9 +200,8 @@ def assess(
         psi = FockVector(psi)
     if not isinstance(grid, PhaseGrid):
         raise ValueError("grid must be a PhaseGrid")
-    tol = resolve_series_tol(series_tol)
     eps = truncation_epsilon(psi, grid.N - 1)
-    nu0 = float(aliasing_excess(grid.p, grid.N, tol)[0])
+    nu0 = float(aliasing_excess(grid.p, grid.N)[0])
     p0 = critical_radius(grid.N)
     bound = error_bound(eps, grid.p, grid.N, nu0=nu0)
     bound_f = filtered_error_bound(eps, grid.p, grid.N, nu0=nu0)
@@ -215,7 +219,7 @@ def assess(
         measured = measured_error_sq(frame, psi)
         excess = measured - bound
         # the allowance is never below 1e-9: only a larger excess needs cond(B)
-        if psi.tail is None and excess > 1e-9 and excess > _measure_slack(grid, tol):
+        if psi.tail is None and excess > 1e-9 and excess > _measure_slack(grid):
             raise ArithmeticError(
                 f"measured squared error {measured:.6e} exceeds the bound "
                 f"{bound:.6e}; the spectral series or the oracle is broken"
@@ -223,7 +227,7 @@ def assess(
     return ErrorReport(eps, nu0, p0, bound, bound_f, measured, grid.p < p0)
 
 
-def _measure_slack(grid: PhaseGrid, tol: float) -> float:
+def _measure_slack(grid: PhaseGrid) -> float:
     """Rounding allowance, never below 1e-9, of the dense measurement
     1 - q/||a||^2 with q = <v, B^{-1} v> and v = T a.
 
@@ -237,4 +241,4 @@ def _measure_slack(grid: PhaseGrid, tol: float) -> float:
     """
     n = 3 * grid.N + 1
     gamma = n * _U / (1.0 - n * _U)
-    return max(1e-9, grid.N * gamma * build_overlap(grid, tol).condition())
+    return max(1e-9, grid.N * gamma * build_overlap(grid).condition())

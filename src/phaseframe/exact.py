@@ -115,7 +115,7 @@ class _Reconstructor:
         M = grid.N - 1 if M is None else check_order(M, "M")
         if M >= grid.N:
             raise ValueError(message.format(M=M, N=grid.N))
-        return SpectralData.build(grid, M, self.series_tol)
+        return SpectralData.build(grid, M)
 
     def fit(self, X, y=None):
         """Store the samples and recover the coefficient vector."""
@@ -141,16 +141,14 @@ class ExactReconstructor(_Reconstructor):
     N : grid size (number of phase samples).
     p : squared circle radius / mean particle number.
     M : largest active mode; must satisfy M < N.
-    series_tol : optional override for the spectral series tolerance.
     """
 
-    _params = ("N", "p", "M", "series_tol")
+    _params = ("N", "p", "M")
 
-    def __init__(self, N=None, p=None, M=None, series_tol=None):
+    def __init__(self, N=None, p=None, M=None):
         self.N = N
         self.p = p
         self.M = M
-        self.series_tol = series_tol
         self.coef_ = None
         self.samples_ = None
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -227,7 +227,7 @@ class SampleSet:
     """Wave-function values Psi(z_k) on a phase grid."""
 
     grid: PhaseGrid
-    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    values: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.grid, PhaseGrid):

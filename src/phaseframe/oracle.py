@@ -176,7 +176,7 @@ def quadrature_coefficient(psi: FockVector, n: int, p: float, Q: int) -> complex
     return np.exp(log_pref + math.log(abs(s))) * (s / abs(s))
 
 
-def dense_eig_check(grid: PhaseGrid, series_tol: float | None = None) -> float:
+def dense_eig_check(grid: PhaseGrid) -> float:
     """Max residual ||B f_j - lhat_j f_j||_inf over all Fourier columns f_j,
     with B built pairwise from cs_overlap and lhat_j from the series."""
     if not isinstance(grid, PhaseGrid):
@@ -185,19 +185,19 @@ def dense_eig_check(grid: PhaseGrid, series_tol: float | None = None) -> float:
         raise OracleSizeError(f"dense eigencheck cap is N <= {_EIG_N_CAP}, got {grid.N}")
     B = overlap_from_points(grid)
     F = fourier_matrix(grid.N)
-    lhat = folded_weight(grid.p, grid.N, series_tol)
+    lhat = folded_weight(grid.p, grid.N)
     resid = B @ F - F * lhat[None, :]
     return float(np.max(np.abs(resid)))
 
 
-def intertwining_defect(frame: DenseFrame, series_tol: float | None = None) -> float:
+def intertwining_defect(frame: DenseFrame) -> float:
     """Max |B T - T diag(lhat_{n mod N})|.
 
     Frame columns are sliced Fourier eigenvectors of the overlap matrix, so
     the pairwise-built B must scale column n by the series-built folded
     weight of its residue class; any excess is numerical noise.
     """
-    lhat = folded_weight(frame.grid.p, frame.grid.N, series_tol)
+    lhat = folded_weight(frame.grid.p, frame.grid.N)
     j = np.mod(np.arange(frame.n_max + 1), frame.grid.N)
     lhs = frame.gram() @ frame.T
     rhs = frame.T * lhat[j][None, :]

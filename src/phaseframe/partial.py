@@ -42,22 +42,20 @@ class PartialReconstructor(_Reconstructor):
     p : squared circle radius.
     n_max : alias materialization cutoff (default p + 20 sqrt(p) + 10 N,
         never below N - 1).
-    series_tol : optional override for the spectral series tolerance.
     """
 
-    _params = ("N", "p", "n_max", "series_tol")
+    _params = ("N", "p", "n_max")
 
-    def __init__(self, N=None, p=None, n_max=None, series_tol=None):
+    def __init__(self, N=None, p=None, n_max=None):
         self.N = N
         self.p = p
         self.n_max = n_max
-        self.series_tol = series_tol
         self.coef_ = None
         self.samples_ = None
 
     def _plan(self) -> SpectralData:
         """Plan of the aliases n = 0..n_max."""
-        plan = SpectralData.build(PhaseGrid(self.N, self.p), self.n_max, self.series_tol)
+        plan = SpectralData.build(PhaseGrid(self.N, self.p), self.n_max)
         if plan.n_max < plan.grid.N - 1:
             raise ValueError(
                 f"n_max = {plan.n_max} must cover at least one full residue "

@@ -19,10 +19,11 @@ blocks of the terms at m = j + qN with a running logaddexp down q.  Rows
 whose every m is at most p - 40 sqrt(p) - N are skipped: the Poisson pmf is
 log-concave and rises up to p, so each such term is below e^{-799} of its
 column's term in (p - N, p] and changes neither sum.  The sum stops at the
-first row q with q N > p whose new terms are all at most series_tol times
-the running sums.  The first block ends one row past the predicted stop
-(p + (sqrt(2 |log tol|) + 4) sqrt(p)) / N, the row that column 0 needs when
-lam_0 is below lam_N.  Blocks have max(1, _BLOCK // 4N) rows, so their live
+first row q with q N > p whose new terms are all at most SERIES_TOL = 1e-16
+times the running sums: such a term is below the unit roundoff 2^-53 of its
+sum, so both series converge to double precision.  The first block ends one
+row past the predicted stop (p + (sqrt(2 |log SERIES_TOL|) + 4) sqrt(p)) / N,
+the row that column 0 needs when lam_0 is below lam_N.  Blocks have max(1, _BLOCK // 4N) rows, so their live
 temporaries hold about fock._BLOCK elements.  Cost: O(sqrt(p) + N) terms.
 """
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,12 +38,11 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from ._validation import check_grid_size, check_mean_number, check_order, check_tol
+from ._validation import check_grid_size, check_mean_number, check_order
 from .fock import _BLOCK, PhaseGrid, cs_overlap
 
 __all__ = [
-    "DEFAULT_SERIES_TOL",
-    "resolve_series_tol",
+    "SERIES_TOL",
     "log_mode_weight",
     "mode_weight",
     "log_folded_weight",
@@ -62,23 +61,9 @@ __all__ = [
     "rfm_orthogonality_check",
 ]
 
-DEFAULT_SERIES_TOL = 1e-16
-_TOL_ENV_VAR = "PHASE_FRAME_TOL"
-
-
-def resolve_series_tol(series_tol: float | None = None) -> float:
-    """Explicit argument wins, then the PHASE_FRAME_TOL environment variable,
-    then the built-in default."""
-    if series_tol is not None:
-        return check_tol(series_tol)
-    env = os.environ.get(_TOL_ENV_VAR)
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError as exc:
-            raise ValueError(f"{_TOL_ENV_VAR} must be a float, got {env!r}") from exc
-        return check_tol(value, _TOL_ENV_VAR)
-    return DEFAULT_SERIES_TOL
+# series stop: a new term at most this share of its running sum is below the
+# unit roundoff 2^-53 ~ 1.11e-16, so it cannot change the sum
+SERIES_TOL = 1e-16
 
 
 def log_mode_weight(m, p, N) -> np.ndarray:
@@ -105,13 +90,13 @@ def mode_weight(m, p, N):
     return float(out) if np.ndim(m) == 0 else out
 
 
-def _log_fold(p: float, N: int, tol: float, start: int, term) -> tuple[np.ndarray, int]:
+def _log_fold(p: float, N: int, start: int, term) -> tuple[np.ndarray, int]:
     """(log sum_{q >= start} exp(term(m, qN)) per column j, q*) with m = j + qN,
     summed up to the stop row q*: head bound, stop rule and block sizes are
     in the module docstring; each extension doubles the rows summed so far."""
     if p > 2.0**52:  # the indices m near p must be exact doubles
         raise ValueError(f"mean number p = {p:g} is beyond 2^52, too large to fold")
-    log_tol = math.log(tol)
+    log_tol = math.log(SERIES_TOL)
     root = math.sqrt(p)
     first = max(start, math.floor((p - 40.0 * root) / N) - 1)
     hi = max(first, math.ceil((p + (math.sqrt(-2.0 * log_tol) + 4.0) * root) / N)) + 2
@@ -130,46 +115,46 @@ def _log_fold(p: float, N: int, tol: float, start: int, term) -> tuple[np.ndarra
         hi = max(hi, 2 * lo - first)
 
 
-def log_folded_weight(p, N, series_tol: float | None = None) -> np.ndarray:
+def log_folded_weight(p, N) -> np.ndarray:
     """log lhat_j = log sum_{q >= 0} lam_{j+qN} for j = 0..N-1, finite even
     where lhat_j underflows double range."""
     p = check_mean_number(p)
     N = check_grid_size(N)
-    tol = resolve_series_tol(series_tol)
-    return _log_fold(p, N, tol, 0, lambda m, qN: _log_weight(m, p, N))[0]
+    return _log_fold(p, N, 0, lambda m, qN: _log_weight(m, p, N))[0]
 
 
-def folded_weight(p, N, series_tol: float | None = None) -> np.ndarray:
+def folded_weight(p, N) -> np.ndarray:
     """Periodized weights lhat_j = sum_q lam_{j+qN}, j = 0..N-1: the exp of
     log_folded_weight, so an lhat_j below double range is 0.  Summed from the
-    head bound to the first q with q N > p whose terms are all at most
-    series_tol times the running sums; O(sqrt(p) + N) terms."""
-    return np.exp(log_folded_weight(p, N, series_tol))
+    head bound to double-precision convergence (the first q with q N > p
+    whose terms are all below the unit roundoff of the running sums);
+    O(sqrt(p) + N) terms."""
+    return np.exp(log_folded_weight(p, N))
 
 
-def log_aliasing_excess(p, N, series_tol: float | None = None) -> np.ndarray:
+def log_aliasing_excess(p, N) -> np.ndarray:
     """log(nu_n) for n = 0..N-1, finite even where nu underflows double range.
 
     The terms n! p^{uN} / (n+uN)! are summed from u = 1 (or the head bound)
-    to the first u with u N > p whose terms are all at most series_tol times
-    the running sums; O(sqrt(p) + N) terms.
+    to double-precision convergence (the first u with u N > p whose terms
+    are all below the unit roundoff of the running sums); O(sqrt(p) + N)
+    terms.
     """
     p = check_mean_number(p)
     N = check_grid_size(N)
-    tol = resolve_series_tol(series_tol)
     log_p = math.log(p)
     base = gammaln(np.arange(N) + 1.0)
-    return _log_fold(p, N, tol, 1, lambda m, qN: base - gammaln(m + 1.0) + qN * log_p)[0]
+    return _log_fold(p, N, 1, lambda m, qN: base - gammaln(m + 1.0) + qN * log_p)[0]
 
 
-def aliasing_excess(p, N, series_tol: float | None = None) -> np.ndarray:
+def aliasing_excess(p, N) -> np.ndarray:
     """Relative aliased weight nu_n = (lhat_n - lam_n)/lam_n, n = 0..N-1.
 
     Computed directly from the series sum_{u>=1} n! p^{uN} / (n+uN)! rather
     than by dividing two nearly equal numbers, so it stays strictly positive
     and strictly decreasing in n down to the underflow floor.
     """
-    return np.exp(log_aliasing_excess(p, N, series_tol))
+    return np.exp(log_aliasing_excess(p, N))
 
 
 def critical_radius(N) -> float:
@@ -214,22 +199,16 @@ class SpectralData:
 
     grid: PhaseGrid
     n_max: int
-    series_tol: float
 
     @staticmethod
-    def build(
-        grid: PhaseGrid,
-        n_max: int | None = None,
-        series_tol: float | None = None,
-    ) -> "SpectralData":
-        """Validate the grid, resolve the series tolerance and the default
-        n_max; no array is computed yet."""
+    def build(grid: PhaseGrid, n_max: int | None = None) -> "SpectralData":
+        """Validate the grid and resolve the default n_max; no array is
+        computed yet."""
         if not isinstance(grid, PhaseGrid):
             raise ValueError("grid must be a PhaseGrid")
-        tol = resolve_series_tol(series_tol)
         if n_max is None:
             n_max = default_n_max(grid.p, grid.N)
-        return SpectralData(grid, check_order(n_max, "n_max"), tol)
+        return SpectralData(grid, check_order(n_max, "n_max"))
 
     @cached_property
     def log_weights(self) -> np.ndarray:
@@ -241,7 +220,7 @@ class SpectralData:
 
     @cached_property
     def log_folded(self) -> np.ndarray:
-        return log_folded_weight(self.grid.p, self.grid.N, self.series_tol)
+        return log_folded_weight(self.grid.p, self.grid.N)
 
     @cached_property
     def folded(self) -> np.ndarray:
@@ -249,7 +228,7 @@ class SpectralData:
 
     @cached_property
     def log_excess(self) -> np.ndarray:
-        return log_aliasing_excess(self.grid.p, self.grid.N, self.series_tol)
+        return log_aliasing_excess(self.grid.p, self.grid.N)
 
     @cached_property
     def excess(self) -> np.ndarray:
@@ -272,7 +251,6 @@ class CirculantOverlap:
     grid: PhaseGrid
     first_row: np.ndarray
     eigenvalues: np.ndarray
-    series_tol: float
 
     def matrix(self) -> np.ndarray:
         k = np.arange(self.grid.N)
@@ -323,20 +301,14 @@ class CirculantOverlap:
         return np.fft.fft(np.fft.ifft(v) / self.eigenvalues)
 
 
-def build_overlap(grid: PhaseGrid, series_tol: float | None = None) -> CirculantOverlap:
+def build_overlap(grid: PhaseGrid) -> CirculantOverlap:
     """Assemble the circulant overlap with series eigenvalues."""
     if not isinstance(grid, PhaseGrid):
         raise ValueError("grid must be a PhaseGrid")
-    tol = resolve_series_tol(series_tol)
     N, p = grid.N, grid.p
     l = np.arange(N)
     first_row = np.exp(p * (np.exp(2j * np.pi * l / N) - 1.0))
-    return CirculantOverlap(
-        grid=grid,
-        first_row=first_row,
-        eigenvalues=folded_weight(p, N, tol),
-        series_tol=tol,
-    )
+    return CirculantOverlap(grid, first_row, folded_weight(p, N))
 
 
 def apply_overlap_inverse(overlap: CirculantOverlap, v) -> np.ndarray:

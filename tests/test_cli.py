@@ -38,11 +38,6 @@ def unit_coeff(rng, length):
     return a / np.linalg.norm(a)
 
 
-@pytest.fixture(autouse=True)
-def clean_tol_env(monkeypatch):
-    monkeypatch.delenv("PHASE_FRAME_TOL", raising=False)
-
-
 # -- spectrum -----------------------------------------------------------------
 
 
@@ -89,31 +84,12 @@ def test_spectrum_csv_matches_json_bit_for_bit(capsys, tmp_path):
     assert float(row3[3]) == payload["nu"][3]
 
 
-def test_spectrum_env_tol(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("PHASE_FRAME_TOL", "0.04")
-    out = tmp_path / "spec.json"
-    main(["spectrum", "--N", "4", "--p", "1.0", "--format", "json", "--out", str(out)])
-    payload = json.loads(out.read_text())
-    assert payload["series_tol"] == 0.04
-    # loose tolerance stops the folded series after the q = 1 image
-    assert payload["lambda_hat"][0] == pytest.approx(
-        (4.0 / math.e) * (1.0 + 1.0 / 24.0), rel=1e-13
-    )
-    # an explicit --tol wins over the environment
-    main(
-        ["spectrum", "--N", "4", "--p", "1.0", "--format", "json",
-         "--tol", "1e-16", "--out", str(out)]
-    )
-    payload = json.loads(out.read_text())
-    assert payload["series_tol"] == 1e-16
-    assert payload["lambda_hat"][0] == pytest.approx(FOLDED_0_P1_N4, rel=1e-14)
-    capsys.readouterr()
-
-
-def test_spectrum_env_tol_junk(monkeypatch, capsys):
-    monkeypatch.setenv("PHASE_FRAME_TOL", "junk")
-    assert main(["spectrum", "--N", "4", "--p", "1.0"]) == 2
-    assert "PHASE_FRAME_TOL" in capsys.readouterr().err
+def test_spectrum_has_no_tolerance_option(capsys):
+    # both series always run to double-precision convergence
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--N", "4", "--p", "1", "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 # -- sample + reconstruct -----------------------------------------------------
@@ -405,8 +381,8 @@ def test_validate_flags_perturbed_eigenvalue(capsys, monkeypatch, module, rel, c
     target = getattr(phaseframe, module)
     exact = phaseframe.spectral.folded_weight
 
-    def perturbed(p, N, series_tol=None):
-        out = exact(p, N, series_tol)
+    def perturbed(p, N):
+        out = exact(p, N)
         out[0] += rel * np.max(out)
         return out
 

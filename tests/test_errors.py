@@ -1,6 +1,8 @@
 import json
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -94,6 +96,28 @@ def test_droplet_derivative_is_negative_poisson_term():
     assert fd == pytest.approx(expect, rel=1e-6)
 
 
+def test_droplet_work_is_bounded_right_of_the_step():
+    # only the O(sqrt(p)) terms next to m = M are summed, not all M + 1
+    tracemalloc.start()
+    try:
+        droplet(10**7, 1.01e7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_droplet_window_matches_incomplete_gamma():
+    # P_M(p) = Q(M + 1, p); the window drops terms below e^-1000 of m = M
+    M, p = 10**6, 1.0001e6
+    with mpmath.workdps(30):
+        want = float(mpmath.gammainc(M + 1, p, mpmath.inf, regularized=True))
+    # each log term sums parts of size p, M log p and lgamma(M + 1), each off
+    # by a few units of roundoff (the rounding model of tests/test_fold.py)
+    rel = 4.0 * 2.0**-53 * (p + M * math.log(p) + math.lgamma(M + 1.0))
+    assert droplet(M, p) == pytest.approx(want, rel=rel, abs=0.0)
+
+
 def test_droplet_rejects_bad_arguments():
     with pytest.raises(ValueError):
         droplet(-1, 1.0)
@@ -114,6 +138,15 @@ def test_coherent_epsilon_identity_and_oracle():
         assert got == pytest.approx(1.0 - droplet(N - 1, p), abs=1e-16)
         assert got == pytest.approx(float(scipy.stats.poisson.sf(N - 1, p)), abs=1e-12)
     assert coherent_epsilon(0.0, 5) == 0.0
+
+
+@pytest.mark.parametrize("p,N", [(1.0, 30), (5.0, 40), (0.5, 10)])
+def test_coherent_epsilon_keeps_tiny_tails(p, N):
+    # the upper tail is summed directly, not formed as 1 - P_{N-1}(p),
+    # which rounds 1.43e-33 and 8.55e-23 to 0
+    with mpmath.workdps(60):  # Poisson sf(N - 1, p)
+        want = float(mpmath.gammainc(N, 0, p, regularized=True))
+    assert coherent_epsilon(p, N) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_coherent_epsilon_accepts_label():

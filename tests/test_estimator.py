@@ -41,6 +41,18 @@ def test_set_params_returns_self_and_rejects_unknown(cls, kwargs):
         est.set_params(bogus=3)
 
 
+@pytest.mark.parametrize(
+    "cls,keys",
+    [(ExactReconstructor, ("N", "p", "M")), (PartialReconstructor, ("N", "p", "n_max"))],
+)
+def test_params_carry_no_series_tolerance(cls, keys):
+    # the series stop is a module constant, not an estimator parameter
+    est = cls()
+    assert tuple(est.get_params()) == keys
+    with pytest.raises(ValueError, match="invalid parameter"):
+        est.set_params(series_tol=1e-8)
+
+
 @pytest.mark.parametrize("cls,kwargs", CASES)
 def test_set_params_invalidates_fit(cls, kwargs):
     rng = np.random.default_rng(5)
@@ -226,20 +238,6 @@ def test_partial_routes_fold_once(series_calls):
     assert _reset(series_calls) == once
     est.filter_factors()
     assert _reset(series_calls) == {"log_folded_weight": 0, "log_aliasing_excess": 1}
-
-
-def test_plan_follows_tolerance_environment(monkeypatch):
-    # a coarse PHASE_FRAME_TOL stops the fold after two wrap terms, so the
-    # aliases change between two calls on one estimator
-    monkeypatch.delenv("PHASE_FRAME_TOL", raising=False)
-    est = PartialReconstructor(N=4, p=1.0)
-    x = _samples(np.random.default_rng(43), 4)
-    fine = est.transform(x)
-    monkeypatch.setenv("PHASE_FRAME_TOL", "0.04")
-    coarse = est.transform(x)
-    assert not np.allclose(fine, coarse, rtol=1e-12, atol=0.0)
-    monkeypatch.delenv("PHASE_FRAME_TOL")
-    assert np.array_equal(est.transform(x), fine)
 
 
 def test_partial_kernel_routes_work_per_call(monkeypatch):

@@ -22,7 +22,6 @@ from phaseframe.spectral import (
     fourier_matrix,
     log_aliasing_excess,
     overlap_from_points,
-    resolve_series_tol,
 )
 
 # Values frozen from an independent 40-digit series evaluation.
@@ -89,25 +88,6 @@ def test_folded_matches_dft_route():
             series = folded_weight(p, N)
             dft = build_overlap(PhaseGrid(N, p)).dft_eigenvalues()
             assert np.allclose(series, dft, rtol=1e-11)
-
-
-def test_series_tol_env_override(monkeypatch):
-    monkeypatch.setenv("PHASE_FRAME_TOL", "0.04")
-    assert resolve_series_tol(None) == 0.04
-    # a coarse tolerance stops the fold after two wrap terms
-    two_term = 4.0 / math.e * (1.0 + 1.0 / 24.0)
-    assert folded_weight(1.0, 4)[0] == pytest.approx(two_term, rel=1e-13)
-    monkeypatch.setenv("PHASE_FRAME_TOL", "junk")
-    with pytest.raises(ValueError):
-        resolve_series_tol(None)
-    monkeypatch.setenv("PHASE_FRAME_TOL", "0.0")
-    with pytest.raises(ValueError):
-        resolve_series_tol(None)
-
-
-def test_explicit_tol_wins_over_env(monkeypatch):
-    monkeypatch.setenv("PHASE_FRAME_TOL", "0.04")
-    assert resolve_series_tol(1e-14) == 1e-14
 
 
 # -- aliasing excess ----------------------------------------------------------
