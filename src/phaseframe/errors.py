@@ -21,12 +21,12 @@ import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._validation import check_grid_size, check_order
-from .fock import CoherentPoint, FockVector, PhaseGrid
+from .fock import CoherentPoint, FockVector, PhaseGrid, _log_poisson
 from .oracle import DenseFrame, OracleSizeError, measured_error_sq
 from .spectral import aliasing_excess, build_overlap, critical_radius, default_n_max
+from .spectral import log_aliasing_excess
 
 __all__ = [
     "truncation_epsilon",
@@ -89,7 +89,7 @@ def _poisson_tails(M: int, p) -> tuple[float, float]:
         m = np.arange(M + 1, M + 1 + span, dtype=float)
     else:
         m = np.arange(max(0, M + 1 - span), M + 1, dtype=float)
-    far = float(np.sum(np.exp(-p + m * math.log(p) - gammaln(m + 1.0))))
+    far = float(np.sum(np.exp(_log_poisson(m, p))))
     if p < M + 1.0:
         return max(0.0, 1.0 - far), far
     total = min(1.0, far)
@@ -135,6 +135,17 @@ def _resolve_nu0(p, N, nu0) -> float:
     return nu0
 
 
+def _check_square(nu0: float, where: str, log_nu0: float | None = None) -> None:
+    """A ValueError giving log10(nu0) and `where` when (1 + nu0)^2, the factor
+    of the filtered bound, is past double range (as it is for nu0 = inf)."""
+    if not math.isfinite((1.0 + nu0) * (1.0 + nu0)):
+        log_nu0 = math.log(nu0) if log_nu0 is None else log_nu0
+        raise ValueError(
+            f"nu0 = 10^{log_nu0 / math.log(10):.2f}{where}: (1 + nu0)^2 in the "
+            "filtered error bound is past double range"
+        )
+
+
 def _check_eps(eps) -> float:
     eps = float(eps)
     if not (0.0 <= eps <= 1.0):
@@ -163,6 +174,7 @@ def filtered_error_bound(eps, p, N, nu0=None) -> float:
     truncate-and-filter pipeline."""
     eps = _check_eps(eps)
     nu0 = _resolve_nu0(p, N, nu0)
+    _check_square(nu0, "")
     return eps * eps * (1.0 + (1.0 + nu0) ** 2)
 
 
@@ -201,7 +213,10 @@ def assess(
     if not isinstance(grid, PhaseGrid):
         raise ValueError("grid must be a PhaseGrid")
     eps = truncation_epsilon(psi, grid.N - 1)
-    nu0 = float(aliasing_excess(grid.p, grid.N)[0])
+    log_nu0 = float(log_aliasing_excess(grid.p, grid.N)[0])
+    with np.errstate(over="ignore"):
+        nu0 = float(np.exp(log_nu0))
+    _check_square(nu0, f" on the grid N = {grid.N}, p = {grid.p:g}", log_nu0)
     p0 = critical_radius(grid.N)
     bound = error_bound(eps, grid.p, grid.N, nu0=nu0)
     bound_f = filtered_error_bound(eps, grid.p, grid.N, nu0=nu0)

@@ -7,10 +7,12 @@ the plane is sum_k Xi_k(z) Psi_k with the discrete sinc-type kernel
 
     Xi_k(z) = (1/N) e^{(p - |z|^2)/2} sum_{m=0}^{M} w^m,   w = conj(z) z_k / p.
 
-Off the grid both kernel routes are one series in w0 = conj(z)/sqrt(p):
-sum_k Xi_k(z) Psi_k has the terms w0^m S_m, and Xi_k(z) the terms
-w0^m e^{2 pi i k m / N}.  `kernel_series` sums it for all points at once
-through `fock.series_at`, the chunked log-space series `evaluate` uses too.
+Off the grid, sum_k K_k(z) Psi_k is (1/N) e^{(p-|z|^2)/2} times
+sum_n c_n w0^n S_{n mod N} with w0 = conj(z)/sqrt(p), and the kernel K_k(z)
+has e^{2 pi i k n / N} for S_{n mod N}: one residue DFT under a per-mode
+filter, c_n = 1 on modes 0..M here and lam_n / lhat_{n mod N} for the
+projection of the partial module.  `_Reconstructor` writes each route once
+and sums the series through `fock.series_at`, as `evaluate` does.
 
 Both operations follow the sklearn estimator conventions: hyperparameters in
 __init__, data work in fit/transform/predict.
@@ -23,20 +25,12 @@ import warnings
 
 import numpy as np
 
-from ._validation import check_finite, check_fitted, check_order
+from ._validation import check_fitted, check_order
 from .fock import _LOG_TINY, FockVector, PhaseGrid, evaluate, grid_samples
 from .fock import scale_by_exp, series_at
 from .spectral import SpectralData
 
 __all__ = ["ExactReconstructor"]
-
-
-def kernel_series(grid: PhaseGrid, z, log_c: np.ndarray, weights: np.ndarray):
-    """(1/N) e^{(p-|z|^2)/2} sum_m exp(log_c_m) w0^m weights_m with
-    w0 = conj(z)/sqrt(p): the off-grid form of both interpolation kernels."""
-    return series_at(
-        z, log_c, weights, 1.0 / math.sqrt(grid.p), 0.5 * grid.p - math.log(grid.N)
-    )
 
 
 def unit_row(N: int, k: int) -> np.ndarray:
@@ -65,7 +59,12 @@ def recover(values: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     out = scale_by_exp(S[..., j[:K]], log_scale[:K])
     if K < len(j):
         out = np.concatenate([out, scale_by_exp(S, -np.inf)[..., j[K:]]], axis=-1)
-    return check_finite(out, "coefficients")
+    bad = ~np.isfinite(out).reshape(-1, out.shape[-1]).all(axis=0)
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise ValueError("coefficients must contain only finite entries; first not "
+                         f"at mode n = {n}, scale 10^{log_scale[n] / math.log(10):.1f}")
+    return out
 
 
 def dft_log_scale(plan: SpectralData) -> np.ndarray:
@@ -83,15 +82,17 @@ def dft_log_scale(plan: SpectralData) -> np.ndarray:
 
 
 class _Reconstructor:
-    """Estimator plumbing shared by both reconstructors.
+    """Estimator core shared by both reconstructors.
 
     Hyperparameters live in __init__ and are listed in `_params`.  Each
-    subclass supplies its plan (`_plan`, one SpectralData per public call)
-    and its per-mode log scale (`_log_scale`); its coefficients are
-    `recover(samples, log_scale)`.
+    subclass supplies its plan (`_plan`, one SpectralData per public call),
+    its per-mode log scale (`_log_scale`; its coefficients are
+    `recover(samples, log_scale)`) and the log of its off-grid filter c_n
+    (`_log_filter(plan, z)`).  Every route is written here once.
     """
 
     _params: tuple[str, ...] = ()
+    coef_ = samples_ = None  # until fit
 
     def get_params(self, deep: bool = True) -> dict:
         return {key: getattr(self, key) for key in self._params}
@@ -132,6 +133,46 @@ class _Reconstructor:
         check_fitted(self, "coef_")
         return FockVector(self.coef_)
 
+    def transform(self, X) -> np.ndarray:
+        """Coefficient rows for one sample vector or a stack of them."""
+        plan = self._plan()
+        return recover(grid_samples(X, plan.grid, stack=True), self._log_scale(plan))
+
+    def predict(self, z):
+        """Evaluate the fitted state's wave function at z (scalar or array)."""
+        return evaluate(self.state(), z)
+
+    def reconstruct(self, X, z):
+        """Kernel-route reconstruction sum_k K_k(z) Psi_k: mathematically
+        identical to evaluating the recovered coefficients, but summed
+        directly over the residue DFT S_{n mod N} of the samples."""
+        plan = self._plan()
+        S = plan.grid.N * np.fft.ifft(grid_samples(X, plan.grid))
+        return self._series(plan, z, S)
+
+    def _coefficients(self, X) -> FockVector:
+        """Exact a_m = (N lam_m)^{-1/2} sum_k e^{2 pi i k m / N} Psi_k, or the
+        aliases ahat_n for n = 0..n_max.  All aliases of a residue class share
+        one DFT value and one folded weight, so the periodization identity
+        ahat_{n+N} sqrt(lam_n) = ahat_n sqrt(lam_{n+N}) holds by construction.
+        """
+        plan = self._plan()
+        return FockVector(recover(grid_samples(X, plan.grid), self._log_scale(plan)))
+
+    def _kernel(self, k: int, z):
+        """Interpolation kernel: the exact Xi_k(z), with Xi_k(z_l) = delta_kl at
+        critical sampling N = M+1, or the projection's L_k(z), with
+        L_k(z_l) = delta_kl; for N = 1 that is the coherent-state overlap
+        ratio C(z, z_0), since lhat_0 sums every weight."""
+        plan = self._plan()
+        return self._series(plan, z, unit_row(plan.grid.N, k))
+
+    def _series(self, plan: SpectralData, z, W: np.ndarray):
+        """(1/N) e^{(p-|z|^2)/2} sum_n c_n w0^n W_{n mod N}, w0 = conj(z)/sqrt(p)."""
+        N, p, log_c = plan.grid.N, plan.grid.p, self._log_filter(plan, z)
+        W = W[np.mod(np.arange(len(log_c)), N)]
+        return series_at(z, log_c, W, 1.0 / math.sqrt(p), 0.5 * p - math.log(N))
+
 
 class ExactReconstructor(_Reconstructor):
     """Recover a mode-limited state from N > M phase samples.
@@ -149,8 +190,6 @@ class ExactReconstructor(_Reconstructor):
         self.N = N
         self.p = p
         self.M = M
-        self.coef_ = None
-        self.samples_ = None
 
     def _plan(self) -> SpectralData:
         # checked here because M, unlike the filter order, has no default
@@ -161,37 +200,17 @@ class ExactReconstructor(_Reconstructor):
 
     _log_scale = staticmethod(dft_log_scale)
 
-    def transform(self, X) -> np.ndarray:
-        """Coefficient rows for one sample vector or a stack of them."""
-        plan = self._plan()
-        return recover(grid_samples(X, plan.grid, stack=True), self._log_scale(plan))
+    @staticmethod
+    def _log_filter(plan: SpectralData, z) -> np.ndarray:
+        """log c_n = 0 on modes 0..M."""
+        return np.zeros(plan.n_max + 1)
 
-    def predict(self, z):
-        """Evaluate the fitted state's wave function at z (scalar or array)."""
-        return evaluate(self.state(), z)
-
-    def sinc_kernel(self, k: int, z):
-        """Kernel Xi_k(z); Xi_k(z_l) = delta_kl at critical sampling N = M+1."""
-        plan = self._plan()
-        weights = unit_row(plan.grid.N, k)[: plan.n_max + 1]
-        return kernel_series(plan.grid, z, np.zeros(len(weights)), weights)
-
-    def reconstruct(self, X, z):
-        """Kernel-route reconstruction sum_k Xi_k(z) Psi_k.
-
-        Mathematically identical to evaluating the recovered coefficients,
-        but computed directly from the samples: with w0 = conj(z)/sqrt(p),
-        sum_k Xi_k(z) Psi_k = (1/N) e^{(p-|z|^2)/2} sum_{m<=M} w0^m S_m.
-        """
-        plan = self._plan()
-        S = plan.grid.N * np.fft.ifft(grid_samples(X, plan.grid))
-        weights = S[: plan.n_max + 1]
-        return kernel_series(plan.grid, z, np.zeros(len(weights)), weights)
-
-    def dft_coefficients(self, X) -> FockVector:
-        """Coefficients a_m = (N lam_m)^{-1/2} sum_k e^{2 pi i k m / N} Psi_k."""
-        plan = self._plan()
-        return FockVector(recover(grid_samples(X, plan.grid), self._log_scale(plan)))
+    # own class attributes: perfbench/tracing.py wraps them through vars(cls)
+    transform = _Reconstructor.transform
+    predict = _Reconstructor.predict
+    reconstruct = _Reconstructor.reconstruct
+    dft_coefficients = _Reconstructor._coefficients
+    sinc_kernel = _Reconstructor._kernel
 
     def range_projector(self) -> np.ndarray:
         """N x N matrix P_{lk} = Xi_k(z_l) = (1/N) sum_{m<=M} e^{2 pi i (k-l) m/N}.

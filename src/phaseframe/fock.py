@@ -282,6 +282,11 @@ def log_amplitude_parts(n, z):
     return logmag, phase
 
 
+def _log_poisson(m, p: float, offset: float = 0.0):
+    """offset + log(e^{-p} p^m / m!): the log Poisson pmf, shifted."""
+    return offset - p + m * math.log(p) - gammaln(m + 1.0)
+
+
 def coherent_amplitude(n, z) -> complex:
     """Overlap <n|z> = e^{-|z|^2/2} z^n / sqrt(n!); |result| <= 1 always."""
     logmag, phase = log_amplitude_parts(n, z)
@@ -384,9 +389,7 @@ def sample(psi: FockVector, grid: PhaseGrid) -> SampleSet:
     if not isinstance(grid, PhaseGrid):
         raise ValueError("grid must be a PhaseGrid")
     n = np.arange(len(psi))
-    nf = n.astype(float)
-    logmag = -0.5 * grid.p + 0.5 * nf * math.log(grid.p) - 0.5 * gammaln(nf + 1.0)
-    weighted = psi.coefficients * np.exp(logmag)
+    weighted = psi.coefficients * np.exp(0.5 * _log_poisson(n.astype(float), grid.p))
     j = n % grid.N
     folded = np.bincount(j, weighted.real, grid.N) + 1j * np.bincount(
         j, weighted.imag, grid.N

@@ -23,8 +23,9 @@ first row q with q N > p whose new terms are all at most SERIES_TOL = 1e-16
 times the running sums: such a term is below the unit roundoff 2^-53 of its
 sum, so both series converge to double precision.  The first block ends one
 row past the predicted stop (p + (sqrt(2 |log SERIES_TOL|) + 4) sqrt(p)) / N,
-the row that column 0 needs when lam_0 is below lam_N.  Blocks have max(1, _BLOCK // 4N) rows, so their live
-temporaries hold about fock._BLOCK elements.  Cost: O(sqrt(p) + N) terms.
+the row that column 0 needs when lam_0 is below lam_N.  Blocks have
+max(1, _BLOCK // 4N) rows, so their live temporaries hold about fock._BLOCK
+elements.  Cost: O(sqrt(p) + N) terms.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ._validation import check_grid_size, check_mean_number, check_order
-from .fock import _BLOCK, PhaseGrid, cs_overlap
+from .fock import _BLOCK, PhaseGrid, _log_poisson, cs_overlap
 
 __all__ = [
     "SERIES_TOL",
@@ -73,11 +74,7 @@ def log_mode_weight(m, p, N) -> np.ndarray:
     mf = np.asarray(m, dtype=float)
     if np.any(mf < 0):
         raise ValueError("mode index must be >= 0")
-    return _log_weight(mf, p, N)
-
-
-def _log_weight(m: np.ndarray, p: float, N: int) -> np.ndarray:
-    return math.log(N) - p + m * math.log(p) - gammaln(m + 1.0)
+    return _log_poisson(mf, p, offset=math.log(N))
 
 
 def mode_weight(m, p, N):
@@ -120,7 +117,7 @@ def log_folded_weight(p, N) -> np.ndarray:
     where lhat_j underflows double range."""
     p = check_mean_number(p)
     N = check_grid_size(N)
-    return _log_fold(p, N, 0, lambda m, qN: _log_weight(m, p, N))[0]
+    return _log_fold(p, N, 0, lambda m, qN: _log_poisson(m, p, offset=math.log(N)))[0]
 
 
 def folded_weight(p, N) -> np.ndarray:

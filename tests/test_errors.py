@@ -194,6 +194,30 @@ def test_bounds_reject_out_of_range_eps():
         error_bound(0.5, 4.0, 6, nu0=-1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "p,message",
+    [
+        (512.0, r"nu0 = 10\^222\.36 on the grid N = 1, p = 512: \(1 \+ nu0\)\^2 in"),
+        (1024.0, r"nu0 = 10\^444\.72 on the grid N = 1, p = 1024: \(1 \+ nu0\)\^2 in"),
+    ],
+)
+def test_assess_names_a_nu0_past_double_range(p, message):
+    # at N = 1, nu0 = e^p - 1: (1 + nu0)^2 overflows at p = 512 and nu0
+    # itself at p = 1024, so no bound can be formed on either grid
+    with pytest.raises(ValueError, match=message):
+        assess(FockVector([1.0, 0.5]), PhaseGrid(1, p))
+
+
+@pytest.mark.filterwarnings("error")
+def test_filtered_bound_names_an_oversized_nu0():
+    with pytest.raises(ValueError, match=r"nu0 = 10\^200\.00: \(1 \+ nu0\)\^2"):
+        filtered_error_bound(0.1, 4.0, 6, nu0=1e200)
+    # the projection bound needs only nu0/(1+nu0) and stays finite
+    expected = 1.0 + 0.2 * math.sqrt(0.99) + 0.01
+    assert error_bound(0.1, 4.0, 6, nu0=1e200) == pytest.approx(expected, rel=1e-15)
+
+
 # -- full budget --------------------------------------------------------------
 
 

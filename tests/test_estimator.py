@@ -176,6 +176,30 @@ def test_transform_stack_raises_on_nonfinite_result(est):
         est.transform(X)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "est",
+    [ExactReconstructor(N=400, p=0.5, M=399), PartialReconstructor(N=400, p=0.5)],
+)
+def test_nonfinite_result_names_the_first_overflowing_mode(est):
+    # (N lam_n)^{-1/2} |S_n| first passes the largest double at n = 269; in
+    # band the alias scale sqrt(lam_n)/(lhat_n sqrt(N)) is that gain over
+    # 1 + nu_n, with nu_n < 1e-300 here
+    x = _samples(np.random.default_rng(31), 400)
+    log_S = np.log(np.abs(400 * np.fft.ifft(x)))
+    log_gain = -0.5 * (np.log(400) + spectral.log_mode_weight(np.arange(400), 0.5, 400))
+    n = int(np.argmax(log_gain + log_S > np.log(np.finfo(float).max)))
+    assert n == 269
+    message = (
+        "coefficients must contain only finite entries; first not at "
+        rf"mode n = {n}, scale 10\^{log_gain[n] / np.log(10):.1f}"
+    )
+    with pytest.raises(ValueError, match=message):
+        est.fit(x)
+    with pytest.raises(ValueError, match=message):
+        est.transform(np.stack([x, x]))
+
+
 def test_transform_stack_keeps_mode_weight_warning():
     est = ExactReconstructor(N=171, p=0.5, M=170)
     with pytest.warns(RuntimeWarning, match="sample rounding"):
