@@ -11,7 +11,7 @@ validate     self-check of the analytic paths against the dense oracle
 
 Exit codes: 0 success, 1 validation failure, 2 malformed input or an
 inconsistent mode/M combination, 3 oracle size cap exceeded.  All output is
-deterministic; CSV numbers carry 17 significant digits.
+deterministic; JSON is one sorted line and CSV numbers carry 17 digits.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import assess, droplet
 from .exact import ExactReconstructor
-from .fock import FockVector, PhaseGrid, SampleSet, evaluate, load_json, sample
+from .fock import FockVector, PhaseGrid, SampleSet, _pairs, evaluate, load_json, sample
 from .oracle import (
     DenseFrame,
     OracleSizeError,
@@ -56,12 +56,12 @@ def _cell(x) -> str:
 def _emit(args, payload: dict, *tables) -> None:
     """Write a command's result in args.format to args.out (default stdout).
 
-    JSON is `payload`, sorted and indented.  CSV is `tables`, each a list of
-    (name, column) pairs, joined by one blank line; integers print as they
-    are and floats with 17 significant digits, so values round-trip exactly.
+    JSON is `payload` on one sorted line (no indent, so json's C encoder).
+    CSV is `tables`, (name, column) pair lists joined by one blank line;
+    integers print as they are, floats with 17 digits so they round-trip.
     """
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = json.dumps(payload, sort_keys=True)
     else:
         blocks = []
         for table in tables:
@@ -74,11 +74,6 @@ def _emit(args, payload: dict, *tables) -> None:
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text + "\n")
-
-
-def _pairs(values) -> list:
-    """Complex values as JSON [re, im] pairs."""
-    return [[float(v.real), float(v.imag)] for v in values]
 
 
 def _load(path: str, cls, what: str):

@@ -25,8 +25,7 @@ import numpy as np
 from ._validation import check_grid_size, check_order
 from .fock import CoherentPoint, FockVector, PhaseGrid, _log_poisson
 from .oracle import DenseFrame, OracleSizeError, measured_error_sq
-from .spectral import aliasing_excess, build_overlap, critical_radius, default_n_max
-from .spectral import log_aliasing_excess
+from .spectral import build_overlap, critical_radius, default_n_max, log_aliasing_excess
 
 __all__ = [
     "truncation_epsilon",
@@ -126,13 +125,16 @@ def coherent_epsilon(p=None, N=None, *, zeta=None) -> float:
     return _poisson_tails(N - 1, float(p))[1]
 
 
-def _resolve_nu0(p, N, nu0) -> float:
+def _resolve_nu0(p, N, nu0) -> tuple[float, float | None]:
+    """The grid's (nu0, log nu0), nu0 = inf past double range, or (nu0, None)."""
     if nu0 is None:
-        return float(aliasing_excess(p, N)[0])
+        log_nu0 = float(log_aliasing_excess(p, N)[0])
+        with np.errstate(over="ignore"):
+            return float(np.exp(log_nu0)), log_nu0
     nu0 = float(nu0)
     if not (math.isfinite(nu0) and nu0 >= 0.0):
         raise ValueError(f"nu0 must be finite and >= 0, got {nu0}")
-    return nu0
+    return nu0, None
 
 
 def _check_square(nu0: float, where: str, log_nu0: float | None = None) -> None:
@@ -154,10 +156,13 @@ def _check_eps(eps) -> float:
 
 
 def error_bound(eps, p, N, nu0=None) -> float:
-    """Upper bound on the squared relative projection error E^2."""
+    """Upper bound on the squared relative projection error E^2; where nu0
+    is past double range, its limit 1 + 2 eps sqrt(1-eps^2) + eps^2."""
     eps = _check_eps(eps)
-    nu0 = _resolve_nu0(p, N, nu0)
+    nu0 = _resolve_nu0(p, N, nu0)[0]
     comp = math.sqrt(max(0.0, 1.0 - eps * eps))
+    if math.isinf(nu0):
+        return 1.0 + 2.0 * eps * comp + eps * eps
     return nu0 / (1.0 + nu0) + 2.0 * eps * comp + eps * eps * (2.0 + nu0) / (1.0 + nu0)
 
 
@@ -173,8 +178,8 @@ def filtered_error_bound(eps, p, N, nu0=None) -> float:
     """Upper bound eps^2 (1 + (1+nu_0)^2) on the squared error of the
     truncate-and-filter pipeline."""
     eps = _check_eps(eps)
-    nu0 = _resolve_nu0(p, N, nu0)
-    _check_square(nu0, "")
+    nu0, log_nu0 = _resolve_nu0(p, N, nu0)
+    _check_square(nu0, "", log_nu0)
     return eps * eps * (1.0 + (1.0 + nu0) ** 2)
 
 
@@ -213,9 +218,7 @@ def assess(
     if not isinstance(grid, PhaseGrid):
         raise ValueError("grid must be a PhaseGrid")
     eps = truncation_epsilon(psi, grid.N - 1)
-    log_nu0 = float(log_aliasing_excess(grid.p, grid.N)[0])
-    with np.errstate(over="ignore"):
-        nu0 = float(np.exp(log_nu0))
+    nu0, log_nu0 = _resolve_nu0(grid.p, grid.N, None)
     _check_square(nu0, f" on the grid N = {grid.N}, p = {grid.p:g}", log_nu0)
     p0 = critical_radius(grid.N)
     bound = error_bound(eps, grid.p, grid.N, nu0=nu0)

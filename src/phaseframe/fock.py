@@ -168,11 +168,10 @@ class FockVector:
         return FockVector(np.exp(logmag) * np.exp(1j * phase))
 
     def to_json(self) -> dict:
-        coeff = [[float(c.real), float(c.imag)] for c in self.coefficients]
         tail = None
         if self.tail is not None:
             tail = {"C": self.tail.C, "alpha": self.tail.alpha}
-        return {"coefficients": coeff, "tail": tail}
+        return {"coefficients": _pairs(self.coefficients), "tail": tail}
 
     @staticmethod
     def from_json(data: dict) -> "FockVector":
@@ -242,8 +241,7 @@ class SampleSet:
         return len(self.values)
 
     def to_json(self) -> dict:
-        vals = [[float(v.real), float(v.imag)] for v in self.values]
-        return {"grid": self.grid.to_json(), "values": vals}
+        return {"grid": self.grid.to_json(), "values": _pairs(self.values)}
 
     @staticmethod
     def from_json(data: dict) -> "SampleSet":
@@ -255,6 +253,11 @@ class SampleSet:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed sample values: {exc}") from exc
         return SampleSet(grid, values)
+
+
+def _pairs(values) -> list:
+    """Complex values as JSON [re, im] pairs of builtin floats, bit for bit."""
+    return np.column_stack([values.real, values.imag]).tolist()
 
 
 def load_json(path):

@@ -14,8 +14,19 @@ import numpy as np
 import pytest
 
 import phaseframe
-from phaseframe import FockVector, PhaseGrid, SampleSet
+from phaseframe import (
+    ExactReconstructor,
+    FockVector,
+    PartialReconstructor,
+    PhaseGrid,
+    SampleSet,
+    assess,
+    droplet,
+    evaluate,
+    sample,
+)
 from phaseframe.cli import main
+from phaseframe.spectral import SpectralData
 
 # frozen from an independent 40-digit series evaluation (see test_spectral)
 FOLDED_0_P1_N4 = 1.5328675039294386
@@ -515,6 +526,94 @@ def test_csv_cells_are_the_json_values(command, tmp_path, capsys):
             for cell, value in zip(cells, want[name]):
                 parse = int if isinstance(value, int) else float
                 assert parse(cell) == value, (name, cell, value)
+
+
+# -- JSON: one sorted line carrying the library's values bit for bit -------------
+
+
+def _bits(values):
+    """float64 bit patterns; complex values as [re, im] pairs."""
+    a = np.asarray(values)
+    if np.iscomplexobj(a):
+        a = np.stack([a.real, a.imag], axis=-1)
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _json_case(case, state, psi):
+    """argv of one --format json command and the library values its payload
+    must carry, keyed by (nested) payload field."""
+    grid = PhaseGrid(8, 3.0)
+    mesh = "0:3:4,0:6:5"
+    zs = (np.linspace(0, 3, 4)[:, None] * np.exp(1j * np.linspace(0, 6, 5))).ravel()
+    if case == "spectrum":
+        data = SpectralData.build(grid)
+        return ["spectrum", "--N", "8", "--p", "3.0"], {
+            ("j",): np.arange(8), ("lambda",): data.weights[:8],
+            ("lambda_hat",): data.folded, ("nu",): data.excess}
+    if case == "sample":
+        values = sample(psi, grid).values
+        return ["sample", "--N", "8", "--p", "3.0", "--state", state], {
+            ("values",): values, ("grid", "N"): 8, ("grid", "p"): 3.0}
+    if case == "error-sweep":
+        expected = {}
+        for i, (N, p) in enumerate([(4, 0.5), (4, 6.0), (8, 0.5), (8, 6.0)]):
+            report = assess(psi, PhaseGrid(N, p), measure=True).to_json()
+            for key in ("epsilon_N", "nu0", "bound", "bound_filtered", "measured"):
+                expected[("rows", i, key)] = report[key]
+        return ["error-sweep", "--N", "4,8", "--p", "0.5,6", "--state", state,
+                "--oracle"], expected
+    if case == "droplet":
+        ps = np.linspace(0, 60, 13)
+        return ["droplet", "--M", "0,7,40", "--p-range", "0:60:13"], {
+            ("p",): ps, **{("values", str(M)): [droplet(M, p) for p in ps]
+                           for M in (0, 7, 40)}}
+    # reconstruct; partial on a grid where alias parts underflow to -0.0
+    mode = case.split("-")[1]
+    if mode == "partial":
+        grid = PhaseGrid(64, 32.0)
+        rec = PartialReconstructor(N=64, p=32.0).alias_coefficients(
+            sample(psi, grid).values)
+        window = []
+    else:
+        rec = ExactReconstructor(N=8, p=3.0, M=4).dft_coefficients(
+            sample(psi, grid).values)
+        window = ["--M", "4"]
+    values, ref = evaluate(rec, zs), evaluate(psi, zs)
+    argv = ["reconstruct", "--mode", mode, *window, "--N", str(grid.N),
+            "--p", str(grid.p), "--state", state, "--eval-mesh", mesh]
+    return argv, {
+        ("coefficients",): rec.coefficients, ("mode",): mode,
+        ("evaluation", "points"): zs, ("evaluation", "values"): values,
+        ("evaluation", "reference"): ref,
+        ("evaluation", "abs_error"): np.abs(values - ref)}
+
+
+@pytest.mark.parametrize("case", [
+    "spectrum", "sample", "reconstruct-exact", "reconstruct-partial",
+    "reconstruct-filtered", "error-sweep", "droplet"])
+def test_json_is_one_sorted_line_of_library_values(case, tmp_path, capsys):
+    coeff = unit_coeff(np.random.default_rng(17), 6)
+    argv, expected = _json_case(case, write_state(tmp_path, coeff), FockVector(coeff))
+    assert main(argv + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+    # one line, keys sorted, no whitespace beyond json.dumps' separators
+    assert text.endswith("\n") and text.count("\n") == 1
+    payload = json.loads(text)
+    assert json.dumps(payload, sort_keys=True) == text.rstrip("\n")
+    for path, want in expected.items():
+        got = payload
+        for key in path:
+            got = got[key]
+        if isinstance(want, str):
+            assert got == want, path
+        else:
+            assert np.array_equal(_bits(got), _bits(want)), path
+    if case == "reconstruct-partial":
+        # the case carries signed zeros (62 of them with numpy 2.4 on x86-64)
+        assert np.any(_bits(payload["coefficients"]) == _bits(-0.0))
 
 
 # -- reconstruct: filtered oracle, non-finite mesh ------------------------------

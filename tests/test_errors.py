@@ -218,6 +218,17 @@ def test_filtered_bound_names_an_oversized_nu0():
     assert error_bound(0.1, 4.0, 6, nu0=1e200) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_default_bounds_past_double_range():
+    # at N = 1, p = 1024 the grid's own nu0 = e^1024 - 1 is past double
+    # range: the projection bound is its nu0 -> inf limit, not NaN, and the
+    # filtered bound names the true log10(nu0) = 1024 / ln 10
+    assert error_bound(0.1, 1024.0, 1) == 1.0 + 0.2 * math.sqrt(0.99) + 0.01
+    assert error_bound(0.0, 1024.0, 1) == 1.0
+    with pytest.raises(ValueError, match=r"nu0 = 10\^444\.72: \(1 \+ nu0\)\^2"):
+        filtered_error_bound(0.1, 1024.0, 1)
+
+
 # -- full budget --------------------------------------------------------------
 
 

@@ -288,6 +288,29 @@ def test_state_json_round_trip():
     assert plain.tail is None
 
 
+# signed zeros, a subnormal, the largest double and digits a short repr must keep
+_EDGE_VALUES = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                         complex(5e-324, -1.7976931348623157e308),
+                         complex(0.1, 1.0 / 3.0), -2.5 + 1e-300j])
+
+
+def _bits(values):
+    return np.stack([values.real, values.imag], axis=-1).view(np.uint64)
+
+
+def test_json_pairs_are_builtin_floats_and_keep_signed_zeros():
+    psi = FockVector(_EDGE_VALUES)
+    ss = SampleSet(PhaseGrid(len(_EDGE_VALUES), 2.0), _EDGE_VALUES)
+    for pairs in (psi.to_json()["coefficients"], ss.to_json()["values"]):
+        assert all(type(x) is float for pair in pairs for x in pair)
+        assert np.array_equal(_bits(np.array([complex(*p) for p in pairs])),
+                              _bits(_EDGE_VALUES))
+    back = FockVector.from_json(json.loads(json.dumps(psi.to_json())))
+    assert np.array_equal(_bits(back.coefficients), _bits(_EDGE_VALUES))
+    back = SampleSet.from_json(json.loads(json.dumps(ss.to_json())))
+    assert np.array_equal(_bits(back.values), _bits(_EDGE_VALUES))
+
+
 def test_state_json_rejects_malformed():
     with pytest.raises(ValueError):
         FockVector.from_json({"tail": None})
