@@ -27,7 +27,7 @@ import numpy as np
 
 from ._validation import check_fitted, check_order
 from .fock import _LOG_TINY, FockVector, PhaseGrid, evaluate, grid_samples
-from .fock import scale_by_exp, series_at
+from .fock import series_at
 from .spectral import SpectralData
 
 __all__ = ["ExactReconstructor"]
@@ -38,33 +38,52 @@ def unit_row(N: int, k: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.mod(int(k) * np.arange(N), N) / N)
 
 
-def recover(values: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
-    """c_n = exp(log_scale_n) S_{n mod N} for n < len(log_scale), where
-    S_j = sum_k e^{2 pi i k j / N} Psi_k.
+def recover(values: np.ndarray, log_scale: np.ndarray, size: int | None = None) -> np.ndarray:
+    """c_n = exp(log_scale_n) S_{n mod N} for n < size (default
+    len(log_scale)), where S_j = sum_k e^{2 pi i k j / N} Psi_k.
 
     Both reconstructions are this kernel with their own per-mode scale: one
     inverse FFT along the last axis of `values` (a sample vector or a stack
-    of them) and one log-space scaling.  Columns past the last n with
-    log_scale_n + log max|S| >= _LOG_TINY underflow to zero; they are filled
-    with S_j * exp(-inf), which has the same signed zeros, not computed.
+    of them), then log|S_j| and S_j/|S_j| (0 at S_j = 0) once per residue, so
+    a mode costs one add, one real exp and one multiply, written period by
+    period into the output.  Modes past the last n with log_scale_n +
+    log max|S| >= _LOG_TINY, and modes n >= len(log_scale) (dead by the
+    caller's bound), are filled with 0 * S_j/|S_j| by periodic broadcast:
+    the signed zeros exp gives.  Overflow is the ValueError, not a warning.
     """
     N = values.shape[-1]
-    S = N * np.fft.ifft(values, axis=-1)
-    j = np.mod(np.arange(len(log_scale)), N)
-    with np.errstate(divide="ignore"):
-        log_peak = np.log(np.max(np.abs(S)))
-    # a NaN or inf in S keeps every column, so the finite check sees it
-    live = np.flatnonzero(~(log_scale + log_peak < _LOG_TINY))
-    K = live[-1] + 1 if live.size else 0
-    out = scale_by_exp(S[..., j[:K]], log_scale[:K])
-    if K < len(j):
-        out = np.concatenate([out, scale_by_exp(S, -np.inf)[..., j[K:]]], axis=-1)
-    bad = ~np.isfinite(out).reshape(-1, out.shape[-1]).all(axis=0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        S = N * np.fft.ifft(values, axis=-1)
+        mag = np.abs(S)
+        # a NaN or inf in S keeps every column, so the finite check sees it
+        live = np.flatnonzero(~(log_scale + np.log(np.max(mag)) < _LOG_TINY))
+        K = live[-1] + 1 if live.size else 0
+        out = np.empty(S.shape[:-1] + (size or len(log_scale),), dtype=complex)
+        R = N if K < out.shape[-1] else min(K, N)  # residues read; a tail reads all
+        mag, log_mag = mag[..., :R], np.log(mag[..., :R])
+        unit = np.where(mag == 0, 0, S[..., :R] / mag)
+        for o, s in zip(_periods(out[..., :K], N), _periods(log_scale[:K], N)):
+            if s.size:
+                t = log_mag[..., None, : s.shape[-1]] + s
+                np.multiply(np.exp(t, out=t), unit[..., None, : s.shape[-1]], out=o)
+        if K < out.shape[-1]:
+            tail = np.roll(0.0 * unit, -K, axis=-1)
+            for o in _periods(out[..., K:], N):
+                o[...] = tail[..., None, : o.shape[-1]]
+    bad = ~np.all(np.isfinite(out[..., :K]), axis=tuple(range(out.ndim - 1)))
     if bad.any():
         n = int(np.argmax(bad))
         raise ValueError("coefficients must contain only finite entries; first not "
                          f"at mode n = {n}, scale 10^{log_scale[n] / math.log(10):.1f}")
     return out
+
+
+def _periods(a: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The last axis of `a` as views of its whole periods, shape (..., q, N),
+    and of the remainder, shape (..., 1, r)."""
+    q, r = divmod(a.shape[-1], N)
+    lead = a.shape[:-1]
+    return a[..., : q * N].reshape(lead + (q, N)), a[..., q * N :].reshape(lead + (1, r))
 
 
 def dft_log_scale(plan: SpectralData) -> np.ndarray:
@@ -86,8 +105,8 @@ class _Reconstructor:
 
     Hyperparameters live in __init__ and are listed in `_params`.  Each
     subclass supplies its plan (`_plan`, one SpectralData per public call),
-    its per-mode log scale (`_log_scale`; its coefficients are
-    `recover(samples, log_scale)`) and the log of its off-grid filter c_n
+    its per-mode log scale (`_log_scale`, which may stop where every later
+    mode is dead; see `_recover`) and the log of its off-grid filter c_n
     (`_log_filter(plan, z)`).  Every route is written here once.
     """
 
@@ -122,7 +141,7 @@ class _Reconstructor:
         """Store the samples and recover the coefficient vector."""
         plan = self._plan()
         values = grid_samples(X, plan.grid)
-        self.coef_ = recover(values, self._log_scale(plan))
+        self.coef_ = self._recover(plan, values)
         self.samples_ = values
         return self
 
@@ -136,7 +155,11 @@ class _Reconstructor:
     def transform(self, X) -> np.ndarray:
         """Coefficient rows for one sample vector or a stack of them."""
         plan = self._plan()
-        return recover(grid_samples(X, plan.grid, stack=True), self._log_scale(plan))
+        return self._recover(plan, grid_samples(X, plan.grid, stack=True))
+
+    def _recover(self, plan: SpectralData, values: np.ndarray) -> np.ndarray:
+        """`recover` under this estimator's scale, over all n_max + 1 modes."""
+        return recover(values, self._log_scale(plan), plan.n_max + 1)
 
     def predict(self, z):
         """Evaluate the fitted state's wave function at z (scalar or array)."""
@@ -157,7 +180,7 @@ class _Reconstructor:
         ahat_{n+N} sqrt(lam_n) = ahat_n sqrt(lam_{n+N}) holds by construction.
         """
         plan = self._plan()
-        return FockVector(recover(grid_samples(X, plan.grid), self._log_scale(plan)))
+        return FockVector(self._recover(plan, grid_samples(X, plan.grid)))
 
     def _kernel(self, k: int, z):
         """Interpolation kernel: the exact Xi_k(z), with Xi_k(z_l) = delta_kl at

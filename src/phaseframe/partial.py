@@ -19,14 +19,15 @@ that attenuation; that is the filtered pipeline.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
 
 from ._validation import as_finite_points, check_order
 from .exact import _Reconstructor, dft_log_scale, recover
-from .fock import FockVector, PhaseGrid, grid_samples
-from .spectral import SpectralData, log_mode_weight
+from .fock import _LOG_TINY, FockVector, PhaseGrid, grid_samples
+from .spectral import SpectralData, default_n_max, log_mode_weight
 
 __all__ = ["PartialReconstructor"]
 
@@ -61,10 +62,12 @@ class PartialReconstructor(_Reconstructor):
 
     @staticmethod
     def _log_scale(plan: SpectralData) -> np.ndarray:
-        """log(sqrt(lam_n) / (lhat_{n mod N} sqrt(N))) for n = 0..n_max."""
-        N = plan.grid.N
-        j = np.mod(np.arange(plan.n_max + 1), N)
-        return 0.5 * plan.log_weights - plan.log_folded[j] - 0.5 * math.log(N)
+        """log(sqrt(lam_n) / (lhat_{n mod N} sqrt(N))) for n below
+        min(B, n_max + 1): from `_alias_bound` B on, every alias is an exact
+        zero for any finite S, and `recover` fills it without a scale."""
+        N, p, log_folded = plan.grid.N, plan.grid.p, plan.log_folded
+        n = np.arange(min(_alias_bound(p, N, np.min(log_folded)), plan.n_max + 1))
+        return 0.5 * log_mode_weight(n, p, N) - log_folded[n % N] - 0.5 * math.log(N)
 
     @staticmethod
     def _log_filter(plan: SpectralData, z) -> np.ndarray:
@@ -73,10 +76,8 @@ class PartialReconstructor(_Reconstructor):
         |z|, and never short of n_max."""
         grid, zs = plan.grid, as_finite_points(z)
         scale = max(grid.p, float(np.max(np.abs(zs), initial=0.0)) * math.sqrt(grid.p))
-        needed = int(math.ceil(scale + 20.0 * math.sqrt(scale) + 10.0 * grid.N))
-        size = max(plan.n_max, needed) + 1
-        j = np.mod(np.arange(size), grid.N)
-        return _log_weights(plan, size) - plan.log_folded[j]
+        n = np.arange(max(plan.n_max, default_n_max(scale, grid.N)) + 1)
+        return log_mode_weight(n, grid.p, grid.N) - plan.log_folded[n % grid.N]
 
     # own class attributes: perfbench/tracing.py wraps them through vars(cls)
     transform = _Reconstructor.transform
@@ -93,9 +94,8 @@ class PartialReconstructor(_Reconstructor):
         n = check_order(n, "n")
         if (n - m) % plan.grid.N != 0:
             return 0.0
-        logw = _log_weights(plan, max(m, n) + 1)
-        j = n % plan.grid.N
-        return float(np.exp(0.5 * (logw[m] + logw[n]) - plan.log_folded[j]))
+        log_m, log_n = log_mode_weight(np.array([m, n]), plan.grid.p, plan.grid.N)
+        return float(np.exp(0.5 * (log_m + log_n) - plan.log_folded[n % plan.grid.N]))
 
     def projector_matrix(self, size: int | None = None) -> np.ndarray:
         """Dense leading block of the projector in the number basis
@@ -105,7 +105,7 @@ class PartialReconstructor(_Reconstructor):
         if size < 1:
             raise ValueError("size must be >= 1")
         N = plan.grid.N
-        half = 0.5 * _log_weights(plan, size)
+        half = 0.5 * log_mode_weight(np.arange(size), plan.grid.p, N)
         out = np.zeros((size, size))
         flat = out.reshape(-1)
         # nonzero entries pair m and n = m + d N: fill one such diagonal at
@@ -136,10 +136,22 @@ class PartialReconstructor(_Reconstructor):
         return FockVector(recover(grid_samples(X, plan.grid), dft_log_scale(plan)))
 
 
-def _log_weights(plan: SpectralData, size: int) -> np.ndarray:
-    """log lam_n for n < size: the plan's array where it reaches that far,
-    else a longer one."""
-    if size <= plan.n_max + 1:
-        return plan.log_weights[:size]
-    return log_mode_weight(np.arange(size), plan.grid.p, plan.grid.N)
+def _alias_bound(p: float, N: int, log_floor: float) -> int:
+    """First mode B >= max(N, p) where 0.5 log(lam_B / N) - log_floor +
+    log(DBL_MAX) < _LOG_TINY, log_floor = min_j log lhat_j.  That bounds the
+    log of every alias |S_j| sqrt(lam_n)/(lhat_j sqrt(N)) at n = B and falls
+    with n past p (the log pmf is concave), so every alias from B on is an
+    exact zero.  One nat, plus 1e-12 of the magnitudes summed, covers
+    math.lgamma against gammaln.  Found by bisection."""
+    log_p, log_max = math.log(p), math.log(np.finfo(float).max)
+
+    def dead(n: int) -> bool:
+        lgam = math.lgamma(n + 1.0)
+        slack = 1.0 + 1e-12 * (p + n * abs(log_p) + lgam)
+        return 0.5 * (n * log_p - p - lgam) - log_floor + log_max + slack < _LOG_TINY
+
+    lo = hi = max(N, math.ceil(p))
+    while not dead(hi):
+        hi *= 2
+    return bisect.bisect_left(range(hi + 1), True, lo, key=dead)
 

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseframe import (
     ExactReconstructor,
@@ -19,8 +22,12 @@ from phaseframe import (
     sample,
     truncation_epsilon,
 )
-from phaseframe.fock import scale_by_exp
+from phaseframe import partial as partial_module
+from phaseframe import spectral as spectral_module
+from phaseframe.exact import recover
+from phaseframe.fock import _LOG_TINY, scale_by_exp
 from phaseframe.oracle import DenseFrame, dense_project
+from phaseframe.partial import _alias_bound
 from phaseframe.spectral import default_n_max, log_folded_weight, log_mode_weight
 
 
@@ -312,6 +319,192 @@ def test_transform_skips_only_aliases_that_underflow():
     assert last[1] > last[0]
     one = PartialReconstructor(N=N, p=p).transform(X[0])
     assert np.array_equal(one.view(float), ref[:1].view(float))
+
+
+# -- recovery kernel and the alias bound ---------------------------------------
+
+
+def _first_recover(values, log_scale):
+    """The recovery as first written: every mode n < len(log_scale) scaled
+    from S_{n mod N} by scale_by_exp, then the finite check; returns the
+    coefficients or the error message."""
+    N = values.shape[-1]
+    n = np.arange(len(log_scale))
+    with np.errstate(all="ignore"):
+        S = N * np.fft.ifft(values, axis=-1)
+        out = scale_by_exp(S[..., n % N], log_scale)
+    bad = ~np.isfinite(out).reshape(-1, out.shape[-1]).all(axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        return ("coefficients must contain only finite entries; first not at "
+                f"mode n = {k}, scale 10^{log_scale[k] / math.log(10):.1f}")
+    return out
+
+
+def _alias_scale(N, p, n_max):
+    """log(sqrt(lam_n) / (lhat_{n mod N} sqrt(N))) for every n = 0..n_max."""
+    n = np.arange(n_max + 1)
+    return (0.5 * log_mode_weight(n, p, N) - log_folded_weight(p, N)[n % N]
+            - 0.5 * math.log(N))
+
+
+def _dft_scale(N, p, M):
+    return -0.5 * (math.log(N) + log_mode_weight(np.arange(M + 1), p, N))
+
+
+def _outcome(route):
+    try:
+        out = route()
+    except ValueError as err:
+        return str(err)
+    return out.coefficients if isinstance(out, FockVector) else out
+
+
+def _same(got, ref):
+    """Equal messages, or equal float64 views with equal sign bits (array_equal
+    alone takes -0.0 for 0.0)."""
+    if isinstance(got, str) or isinstance(ref, str):
+        return got == ref
+    got, ref = got.view(float), ref.view(float)
+    return np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(71)
+    for N, p in ((1, 5.0), (8, 3.0), (97, 40.0), (1024, 512.0), (2048, 512.0)):
+        rows = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
+        # tiny real negative samples: S_j = a - 0.0i, a < 0, and a dead tail
+        tiny = np.conj(-1e-300 * np.abs(rows[1].real) + 0j)
+        X = np.stack([rows[0], np.zeros(N), 1e100 * rows[1], tiny])
+        if N == 1024:
+            # S is 1.024e303 at residue 512 and exactly 0 elsewhere, so its
+            # aliases reach n = 2560, close to the bound at the largest |S|
+            X = np.vstack([X, 1e300 * (-1.0) ** np.arange(N)])
+        yield N, p, X
+
+
+@pytest.mark.parametrize("N,p,X", list(_kernel_cases()))
+def test_recover_is_bit_identical_to_the_per_mode_formulation(N, p, X):
+    # signed zeros included: a dead tail formed as S * 0.0 instead of
+    # 0.0 * S/|S| flips them where S_j = a - 0.0i with a < 0 (the tiny rows)
+    rec = PartialReconstructor(N=N, p=p)
+    n_max = default_n_max(p, N)
+    scale = _alias_scale(N, p, n_max)
+    ref = _first_recover(X, scale)
+    assert _same(_outcome(lambda: rec.transform(X)), ref)
+    M = min(N - 1, 1000)
+    dft = _dft_scale(N, p, M)
+    for k, x in enumerate(X):
+        one = _first_recover(x, scale)
+        assert isinstance(ref, str) or _same(one, ref[k])
+        assert _same(_outcome(lambda: PartialReconstructor(N=N, p=p).fit(x).coef_), one)
+        assert _same(_outcome(lambda: rec.alias_coefficients(x)), one)
+        filtered = _outcome(lambda: rec.reconstruct_filtered(x, M))
+        assert _same(filtered, _first_recover(x, dft))
+        exact = _outcome(lambda: ExactReconstructor(N=N, p=p, M=M).transform(x))
+        assert _same(exact, _first_recover(x[None, :], dft))
+
+
+def test_recover_keeps_the_nonfinite_error():
+    rng = np.random.default_rng(73)
+    for N in (1, 8, 64):
+        log_scale = -np.linspace(0.0, 800.0, 5 * N)
+        for bad in (np.nan, np.inf, -np.inf, 1e308):
+            x = rng.standard_normal(N) + 0j
+            x[N // 2] = bad
+            for values in (x, np.stack([x, np.zeros(N)])):
+                ref = _first_recover(values, log_scale)
+                assert _same(_outcome(lambda: recover(values, log_scale)), ref)
+            if not np.isfinite(bad):
+                # the first bad mode lies below N, inside any scale's length
+                got = _outcome(lambda: recover(values, log_scale[:N], 5 * N))
+                assert _same(got, ref)
+                with pytest.raises(ValueError, match="samples must contain only finite"):
+                    PartialReconstructor(N=N, p=2.0).fit(x)
+
+
+def _window_samples(N, p, seed):
+    """Samples of a random state on the Poisson window p +- 8 sqrt(p)."""
+    lo, hi = math.ceil(p - 8 * math.sqrt(p)), math.floor(p + 8 * math.sqrt(p))
+    a = np.zeros(hi + 1, dtype=complex)
+    a[lo:] = np.random.default_rng(seed).standard_normal(hi + 1 - lo)
+    return sample(FockVector(a), PhaseGrid(N, p)).values
+
+
+def test_overflow_is_the_named_error_under_warnings_as_errors():
+    # the alias scale passes 10^300 within each grid's materialized modes,
+    # so recover must name the mode rather than leak numpy's overflow warning
+    cases = [
+        (16384, 512.0, _window_samples(16384, 512.0, 79)),
+        (400, 0.5, np.random.default_rng(31).standard_normal(400) + 0j),
+    ]
+    for N, p, x in cases:
+        ref = _first_recover(x, _alias_scale(N, p, default_n_max(p, N)))
+        assert ref.startswith("coefficients must contain only finite entries; first not")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                PartialReconstructor(N=N, p=p).fit(x)
+        assert str(err.value) == ref
+    # the exact route's own warning on such grids is still raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="mode weights below 1e-300"):
+            ExactReconstructor(N=400, p=0.5, M=399).fit(cases[1][2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log10_p=st.floats(min_value=-3.0, max_value=6.0),
+    N=st.integers(min_value=1, max_value=4096),
+)
+def test_alias_bound_leaves_only_exact_zeros(log10_p, N):
+    p = 10.0**log10_p
+    log_folded = log_folded_weight(p, N)
+    bound = _alias_bound(p, N, float(np.min(log_folded)))
+    assert bound >= N
+    # every mode from the bound on, past n_max too, is dead at the largest |S|
+    n = np.arange(bound, max(bound, default_n_max(p, N)) + 2 * N + 100)
+    scale = 0.5 * log_mode_weight(n, p, N) - log_folded[n % N] - 0.5 * math.log(N)
+    assert np.all(scale + math.log(np.finfo(float).max) < _LOG_TINY)
+
+
+def test_partial_transform_reads_only_the_live_weights(monkeypatch):
+    # 11,206 aliases at N = 1024, p = 512, of which fewer than 4,000 can be
+    # nonzero for any finite samples
+    read = []
+
+    def counted(m, p, N):
+        read.append(np.size(m))
+        return log_mode_weight(m, p, N)
+
+    monkeypatch.setattr(partial_module, "log_mode_weight", counted)
+    monkeypatch.setattr(spectral_module, "log_mode_weight", counted)
+    N, p = 1024, 512.0
+    X = np.random.default_rng(83).standard_normal((4, N)) + 0j
+    out = PartialReconstructor(N=N, p=p).transform(X)
+    assert out.shape == (4, default_n_max(p, N) + 1) == (4, 11206)
+    assert 0 < sum(read) < 4000
+
+
+def test_projector_element_reads_two_weights():
+    N, p = 5, 3.0
+    rec = PartialReconstructor(N=N, p=p)
+    log_folded = log_folded_weight(p, N)
+    for m, n in ((0, 0), (2, 7), (7, 2), (4, 19), (13, 3), (1, 2)):
+        logw = log_mode_weight(np.arange(max(m, n) + 1), p, N)
+        ref = 0.0
+        if (n - m) % N == 0:
+            ref = float(np.exp(0.5 * (logw[m] + logw[n]) - log_folded[n % N]))
+        assert rec.projector_element(m, n) == ref
+    tracemalloc.start()
+    try:
+        value = rec.projector_element(4_000_000, 4_000_000 + 2 * N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 0.0
+    assert peak < 1 << 20
 
 
 # -- guard rails --------------------------------------------------------------
