@@ -37,20 +37,18 @@ from .oracle import (
     dense_project,
     dense_pseudoinverse_fit,
     quadrature_coefficient,
+    rfm_orthogonality_defect,
 )
 from .partial import PartialReconstructor
 from .spectral import (
     CirculantOverlap,
     SpectralData,
     aliasing_excess,
-    apply_overlap_inverse,
     build_overlap,
     critical_radius,
     critical_radius_asymptote,
     folded_weight,
     mode_weight,
-    rfm_orthogonality_check,
-    rfm_orthogonality_defect,
 )
 
 __version__ = "0.1.0"
@@ -73,8 +71,6 @@ __all__ = [
     "critical_radius",
     "critical_radius_asymptote",
     "build_overlap",
-    "apply_overlap_inverse",
-    "rfm_orthogonality_check",
     "rfm_orthogonality_defect",
     "ExactReconstructor",
     "PartialReconstructor",

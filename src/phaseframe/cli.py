@@ -34,6 +34,7 @@ from .oracle import (
     dense_eig_check,
     dense_project,
     dense_pseudoinverse_fit,
+    rfm_orthogonality_defect,
 )
 from .partial import PartialReconstructor
 from .spectral import (
@@ -42,7 +43,6 @@ from .spectral import (
     aliasing_excess,
     build_overlap,
     default_n_max,
-    rfm_orthogonality_defect,
 )
 
 _EXIT_INPUT = 2

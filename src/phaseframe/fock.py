@@ -299,20 +299,24 @@ def coherent_amplitude(n, z) -> complex:
     return out
 
 
-def cs_overlap(z1, z2) -> complex:
+def cs_overlap(z1, z2):
     """Coherent-state overlap <z1|z2> = e^{-|z1|^2/2 - |z2|^2/2 + conj(z1) z2}.
 
-    The exponent is evaluated as -|z1 - z2|^2/2 + i Im(conj(z1) z2): its real
+    z1 and z2 may be scalars (or CoherentPoints) or arrays that broadcast
+    together; two scalars give a builtin complex, otherwise an array.  The
+    exponent is evaluated as -|z1 - z2|^2/2 + i Im(conj(z1) z2): its real
     part is exactly non-positive, so |<z1|z2>| <= 1 holds in floating point
     and no overflow is possible, and swapping the arguments negates the
     imaginary part exactly.
     """
-    z1 = _as_z(z1)
-    z2 = _as_z(z2)
-    d = z1 - z2
-    re = -0.5 * (d.real * d.real + d.imag * d.imag)
-    im = z1.real * z2.imag - z1.imag * z2.real
-    return cmath.exp(complex(re, im))
+    z1, z2 = (np.asarray(_as_z(z) if np.ndim(z) == 0 else z, dtype=complex) for z in (z1, z2))
+    with np.errstate(all="ignore"):  # silent, as Python floats are, past |z| ~ 1e154
+        d = z1 - z2
+        w = np.empty(d.shape, dtype=complex)
+        w.real = -0.5 * (d.real * d.real + d.imag * d.imag)
+        w.imag = z1.real * z2.imag - z1.imag * z2.real
+        out = np.exp(w)
+    return complex(out) if out.ndim == 0 else out
 
 
 def evaluate(psi: FockVector, z):

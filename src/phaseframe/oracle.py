@@ -18,12 +18,7 @@ from scipy.special import gammaln
 
 from ._validation import check_grid_size, check_mean_number, check_order
 from .fock import FockVector, PhaseGrid, evaluate
-from .spectral import (
-    folded_weight,
-    fourier_matrix,
-    log_mode_weight,
-    overlap_from_points,
-)
+from .spectral import folded_weight, log_mode_weight, overlap_from_points
 
 __all__ = [
     "OracleSizeError",
@@ -33,6 +28,8 @@ __all__ = [
     "measured_error_sq",
     "quadrature_coefficient",
     "dense_eig_check",
+    "fourier_matrix",
+    "rfm_orthogonality_defect",
 ]
 
 _N_MAX_CAP = 2000
@@ -41,6 +38,34 @@ _EIG_N_CAP = 128
 
 class OracleSizeError(ValueError):
     """Requested dense computation exceeds the oracle size caps."""
+
+
+def _roots(N: int, count: int) -> np.ndarray:
+    """N x count roots of unity e^{-2 pi i (k n mod N) / N}.
+
+    The k*n products are reduced mod N in exact integer arithmetic before
+    exponentiation, so columns are orthonormal to machine precision.
+    """
+    k = np.arange(N)
+    return np.exp(-2j * np.pi * np.mod(np.outer(k, np.arange(count)), N) / N)
+
+
+def fourier_matrix(N) -> np.ndarray:
+    """Unitary DFT matrix F_{kn} = e^{-2 pi i k n / N} / sqrt(N)."""
+    N = check_grid_size(N)
+    return _roots(N, N) / math.sqrt(N)
+
+
+def rfm_orthogonality_defect(N, M) -> float:
+    """Deviation of the rectangular root-of-unity matrix from mod-N
+    orthogonality: max |sum_k conj(F_kn) F_km - delta_{(n-m) mod N, 0}|."""
+    N = check_grid_size(N)
+    M = check_order(M)
+    cols = _roots(N, M + 1) / math.sqrt(N)
+    gram = cols.conj().T @ cols
+    n = np.arange(M + 1)
+    expected = (np.mod(np.subtract.outer(n, n), N) == 0).astype(float)
+    return float(np.max(np.abs(gram - expected)))
 
 
 @dataclass
@@ -61,11 +86,8 @@ class DenseFrame:
                 f"dense frame cap is n_max <= {_N_MAX_CAP}, got {n_max}"
             )
         N, p = grid.N, grid.p
-        n = np.arange(n_max + 1)
-        logu = 0.5 * (log_mode_weight(n, p, N) - math.log(N))
-        k = np.arange(N)
-        W = np.exp(-2j * np.pi * np.mod(np.outer(k, n), N) / N)
-        return DenseFrame(grid=grid, n_max=n_max, T=W * np.exp(logu)[None, :])
+        logu = 0.5 * (log_mode_weight(np.arange(n_max + 1), p, N) - math.log(N))
+        return DenseFrame(grid=grid, n_max=n_max, T=_roots(N, n_max + 1) * np.exp(logu)[None, :])
 
     def gram(self) -> np.ndarray:
         """Overlap matrix built pairwise from cs_overlap, independent of the

@@ -53,13 +53,9 @@ __all__ = [
     "critical_radius",
     "critical_radius_asymptote",
     "default_n_max",
-    "fourier_matrix",
     "SpectralData",
     "CirculantOverlap",
     "build_overlap",
-    "apply_overlap_inverse",
-    "rfm_orthogonality_defect",
-    "rfm_orthogonality_check",
 ]
 
 # series stop: a new term at most this share of its running sum is below the
@@ -173,17 +169,6 @@ def default_n_max(p, N) -> int:
     return int(math.ceil(p + 20.0 * math.sqrt(p) + 10.0 * N))
 
 
-def fourier_matrix(N) -> np.ndarray:
-    """Unitary DFT matrix F_{kn} = e^{-2 pi i k n / N} / sqrt(N).
-
-    The k*n products are reduced mod N in exact integer arithmetic before
-    exponentiation, so columns are orthonormal to machine precision.
-    """
-    N = check_grid_size(N)
-    k = np.arange(N)
-    return np.exp(-2j * np.pi * np.mod(np.outer(k, k), N) / N) / math.sqrt(N)
-
-
 @dataclass
 class SpectralData:
     """Weight arrays for one grid: the plan that every reconstruction reads.
@@ -249,11 +234,6 @@ class CirculantOverlap:
     first_row: np.ndarray
     eigenvalues: np.ndarray
 
-    def matrix(self) -> np.ndarray:
-        k = np.arange(self.grid.N)
-        idx = np.mod(k[None, :] - k[:, None], self.grid.N)  # B_{kl} = C_{l-k}
-        return self.first_row[idx]
-
     def dft_eigenvalues(self) -> np.ndarray:
         """Eigenvalues recomputed as the FFT of the first row.
 
@@ -273,13 +253,6 @@ class CirculantOverlap:
         lo = float(np.min(self.eigenvalues))
         hi = float(np.max(self.eigenvalues))
         return math.inf if lo == 0.0 else hi / lo
-
-    def apply(self, v) -> np.ndarray:
-        """B @ v through the explicit dense circulant."""
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (self.grid.N,):
-            raise ValueError(f"expected a length-{self.grid.N} vector")
-        return self.matrix() @ v
 
     def solve(self, v) -> np.ndarray:
         """B^{-1} v = F diag(1/lhat) F* v with the unitary DFT matrix F,
@@ -308,38 +281,11 @@ def build_overlap(grid: PhaseGrid) -> CirculantOverlap:
     return CirculantOverlap(grid, first_row, folded_weight(p, N))
 
 
-def apply_overlap_inverse(overlap: CirculantOverlap, v) -> np.ndarray:
-    """Solve B c = v through the Fourier diagonalization."""
-    if not isinstance(overlap, CirculantOverlap):
-        raise ValueError("overlap must be a CirculantOverlap")
-    return overlap.solve(v)
-
-
-def rfm_orthogonality_defect(N, M) -> float:
-    """Deviation of the rectangular root-of-unity matrix from mod-N
-    orthogonality: max |sum_k conj(F_kn) F_km - delta_{(n-m) mod N, 0}|."""
-    N = check_grid_size(N)
-    M = check_order(M)
-    F = fourier_matrix(N)
-    cols = F[:, np.mod(np.arange(M + 1), N)]
-    gram = cols.conj().T @ cols
-    n = np.arange(M + 1)
-    expected = (np.mod(np.subtract.outer(n, n), N) == 0).astype(float)
-    return float(np.max(np.abs(gram - expected)))
-
-
-def rfm_orthogonality_check(N, M, tol: float = 1e-12) -> bool:
-    return rfm_orthogonality_defect(N, M) <= tol
-
-
+# kept in spectral, not oracle: perfbench/tracing.py looks it up here
 def overlap_from_points(grid: PhaseGrid) -> np.ndarray:
-    """Dense Gram matrix built pairwise from cs_overlap; independent of the
-    circulant closed form, used for cross-checks."""
+    """Dense Gram matrix B_{kl} = cs_overlap(z_k, z_l), built pairwise;
+    independent of the circulant closed form, used for cross-checks."""
     if not isinstance(grid, PhaseGrid):
         raise ValueError("grid must be a PhaseGrid")
     zs = grid.points()
-    out = np.empty((grid.N, grid.N), dtype=complex)
-    for a in range(grid.N):
-        for b in range(grid.N):
-            out[a, b] = cs_overlap(zs[a], zs[b])
-    return out
+    return cs_overlap(zs[:, None], zs[None, :])

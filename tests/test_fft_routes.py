@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from phaseframe import ExactReconstructor, FockVector, PhaseGrid, mode_weight, sample
-from phaseframe.oracle import DenseFrame
-from phaseframe.spectral import build_overlap, fourier_matrix
+from phaseframe.oracle import DenseFrame, fourier_matrix
+from phaseframe.spectral import build_overlap, overlap_from_points
 
 U = 2.0**-53  # unit roundoff
 EPS = np.finfo(float).eps
@@ -49,20 +49,22 @@ def test_dft_eigenvalues_match_dense_dft(N, p):
 
 @pytest.mark.parametrize("N", [97, 257])
 def test_solve_matches_dense_solve(N):
-    overlap = build_overlap(PhaseGrid(N, 4.0 * N))
+    grid = PhaseGrid(N, 4.0 * N)
+    overlap = build_overlap(grid)
     cond = overlap.condition()
     assert cond < 1e6
     rng = np.random.default_rng(N + 1)
     v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     got = overlap.solve(v)
-    dense = np.linalg.solve(overlap.matrix(), v)
-    # solve divides by the series eigenvalues, while matrix() is built from
-    # the rounded first row; the two circulants differ by the series/DFT
-    # defect relative to ||B||.  Perturbation theory then bounds the gap by
-    # cond * (defect + the O(N u) rounding of either solve).
+    B = overlap_from_points(grid)
+    dense = np.linalg.solve(B, v)
+    # solve divides by the series eigenvalues, while the dense B is built
+    # pairwise from the rounded points; the two differ by the series/DFT
+    # defect and by O(N u), both relative to ||B||.  Perturbation theory then
+    # bounds the gap by cond * (defect + the O(N u) rounding of either solve).
     rel = overlap.series_dft_defect() + N * U
     assert np.max(np.abs(got - dense)) <= cond * rel * np.max(np.abs(dense))
-    residual = overlap.apply(got) - v
+    residual = B @ got - v
     bound = rel * np.max(overlap.eigenvalues) * np.linalg.norm(got)
     assert np.max(np.abs(residual)) <= bound
 

@@ -114,6 +114,32 @@ def test_overlap_expansion_over_modes():
     assert s == pytest.approx(cs_overlap(z1, z2), abs=1e-14)
 
 
+# 0, signed zeros, a CoherentPoint and |z| = 1e3 (whose overlaps with the
+# small points underflow to signed zeros)
+OVERLAP_POINTS = [
+    0, 0.0, -0.0, complex(-0.0, -0.0), 1e3, -1e3j, 1e3 * np.exp(0.3j),
+    1.5 - 2.0j, 0.25j, CoherentPoint(2.0 + 1.0j),
+]
+
+
+def test_overlap_broadcast_matches_scalar_calls_bit_for_bit():
+    zs = np.array([getattr(z, "z", z) for z in OVERLAP_POINTS], dtype=complex)
+    table = cs_overlap(zs[:, None], zs[None, :])
+    assert table.shape == (len(zs), len(zs))
+    for i, z1 in enumerate(OVERLAP_POINTS):
+        for j, z2 in enumerate(OVERLAP_POINTS):
+            v = cs_overlap(z1, z2)
+            assert type(v) is complex
+            bits = np.array([v]).view(np.uint64)
+            assert np.array_equal(bits, table[i, j : j + 1].view(np.uint64)), (z1, z2)
+    assert np.all(np.abs(table) <= 1.0)
+    assert np.array_equal(table.T, table.conj())  # swapping the arguments conjugates exactly
+    # a scalar CoherentPoint against a 2-d array
+    pt = OVERLAP_POINTS[-1]
+    block = cs_overlap(pt, zs.reshape(2, 5))
+    assert np.array_equal(block.view(np.uint64), table[-1].reshape(2, 5).view(np.uint64))
+
+
 def test_coherent_point_properties():
     pt = CoherentPoint(3.0 * np.exp(2j))
     assert pt.p == pytest.approx(9.0, rel=1e-14)

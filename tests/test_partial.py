@@ -311,14 +311,14 @@ def test_transform_skips_only_aliases_that_underflow():
     got = PartialReconstructor(N=N, p=p).transform(X)
     ref = _all_aliases(N, p, X)
     assert got.shape == ref.shape == (3, default_n_max(p, N) + 1)
-    assert np.array_equal(got.view(float), ref.view(float))
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     # the cutoff is taken: most of the first row is zero, yet the 1e100 row
     # still carries nonzero aliases beyond it
     last = [np.flatnonzero(row)[-1] for row in (ref[0], ref[2])]
     assert last[0] < ref.shape[1] // 2
     assert last[1] > last[0]
     one = PartialReconstructor(N=N, p=p).transform(X[0])
-    assert np.array_equal(one.view(float), ref[:1].view(float))
+    assert np.array_equal(one.view(np.uint64), ref[:1].view(np.uint64))
 
 
 # -- recovery kernel and the alias bound ---------------------------------------
