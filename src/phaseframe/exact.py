@@ -27,7 +27,7 @@ import numpy as np
 
 from ._validation import check_fitted, check_order
 from .fock import _LOG_TINY, FockVector, PhaseGrid, evaluate, grid_samples
-from .fock import series_at
+from .fock import series_at, unit_phase
 from .spectral import SpectralData
 
 __all__ = ["ExactReconstructor"]
@@ -44,9 +44,10 @@ def recover(values: np.ndarray, log_scale: np.ndarray, size: int | None = None) 
 
     Both reconstructions are this kernel with their own per-mode scale: one
     inverse FFT along the last axis of `values` (a sample vector or a stack
-    of them), then log|S_j| and S_j/|S_j| (0 at S_j = 0) once per residue, so
-    a mode costs one add, one real exp and one multiply, written period by
-    period into the output.  Modes past the last n with log_scale_n +
+    of them), then log|S_j| and S_j/|S_j| (`unit_phase`: 0 at S_j = 0, and
+    no overflow at a subnormal S_j) once per residue, so a mode costs one
+    add, one real exp and one multiply, written period by period into the
+    output.  Modes past the last n with log_scale_n +
     log max|S| >= _LOG_TINY, and modes n >= len(log_scale) (dead by the
     caller's bound), are filled with 0 * S_j/|S_j| by periodic broadcast:
     the signed zeros exp gives.  Overflow is the ValueError, not a warning.
@@ -61,7 +62,7 @@ def recover(values: np.ndarray, log_scale: np.ndarray, size: int | None = None) 
         out = np.empty(S.shape[:-1] + (size or len(log_scale),), dtype=complex)
         R = N if K < out.shape[-1] else min(K, N)  # residues read; a tail reads all
         mag, log_mag = mag[..., :R], np.log(mag[..., :R])
-        unit = np.where(mag == 0, 0, S[..., :R] / mag)
+        unit = unit_phase(S[..., :R], mag)
         for o, s in zip(_periods(out[..., :K], N), _periods(log_scale[:K], N)):
             if s.size:
                 t = log_mag[..., None, : s.shape[-1]] + s

@@ -307,7 +307,9 @@ def cs_overlap(z1, z2):
     exponent is evaluated as -|z1 - z2|^2/2 + i Im(conj(z1) z2): its real
     part is exactly non-positive, so |<z1|z2>| <= 1 holds in floating point
     and no overflow is possible, and swapping the arguments negates the
-    imaginary part exactly.
+    imaginary part exactly.  Where Im(conj(z1) z2) overflows but the value
+    is not 0, it is formed as Im(conj(m) (z2 - z1)) with m = (z1 + z2)/2,
+    which is antisymmetric too.
     """
     z1, z2 = (np.asarray(_as_z(z) if np.ndim(z) == 0 else z, dtype=complex) for z in (z1, z2))
     with np.errstate(all="ignore"):  # silent, as Python floats are, past |z| ~ 1e154
@@ -315,6 +317,12 @@ def cs_overlap(z1, z2):
         w = np.empty(d.shape, dtype=complex)
         w.real = -0.5 * (d.real * d.real + d.imag * d.imag)
         w.imag = z1.real * z2.imag - z1.imag * z2.real
+        # inf - inf where the value is not 0 anyway (|z1 - z2|^2 finite):
+        # Im(conj(z1) z2) = Im(conj(m) (z2 - z1)), m the midpoint
+        big = ~np.isfinite(w.imag) & (w.real > -np.inf)
+        if big.any():
+            m = 0.5 * z1 + 0.5 * z2
+            w.imag[big] = (m.imag * d.real - m.real * d.imag)[big]
         out = np.exp(w)
     return complex(out) if out.ndim == 0 else out
 
@@ -333,6 +341,9 @@ def evaluate(psi: FockVector, z):
 # exp(x) rounds to exactly 0 below this: it is under half the smallest
 # subnormal by a factor of e/2
 _LOG_TINY = math.log(np.finfo(float).smallest_subnormal) - 1.0
+# log of the unit roundoff u = 2^-53: the series keeps, at each point, the
+# modes whose term is at least u/K of the point's largest, K modes in all
+_LOG_U = math.log(np.finfo(float).eps / 2)
 # elements of one (points x modes) block of the off-grid series
 _BLOCK = 1 << 14
 
@@ -341,13 +352,18 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
     """exp(log_offset - |z|^2/2) sum_n exp(log_c_n) w0^n weights_n with
     w0 = scale * conj(z), for a scalar or an array z (the return matches).
 
-    Every off-grid route is this series.  It runs in log space on blocks of
-    points x modes of at most _BLOCK elements.  Each row is shifted by its
-    largest log term and the shift is folded back by scale_by_exp, so no |z|
-    overflows.  Trailing zero weights, and trailing columns whose every
-    shifted term lies below _LOG_TINY (exp gives exactly 0), are dropped;
-    neither changes a value.  O(points x live modes) work.  A NaN or
-    infinite z is a ValueError.
+    Every off-grid route is this series over K modes, up to the last nonzero
+    weight.  Each point sums only its own window: the modes from the first
+    to the last whose term t_n = exp(log_c_n) w0^n weights_n has
+    |t_n| >= (u/K) max|t|, u = 2^-53.  The terms dropped sum to less than
+    u max|t|, inside the rounding of the sum itself.  A point with no
+    nonzero term has an empty window and gives an exact 0.  Each term is one
+    exp of log|t_n| - max log|t| + i arg t_n, so no |z| overflows, and the
+    shift is folded back by scale_by_exp.  Windows are found on blocks of at
+    most _BLOCK points x modes.  The windows of consecutive points are then
+    gathered into flat runs of at most _BLOCK terms (or one window, if
+    wider), so no padding is summed.  O(points x K) real work and one
+    complex exp per windowed term.  A NaN or infinite z is a ValueError.
     """
     zs = as_finite_points(z)
     w0 = scale * zs.conjugate().ravel()
@@ -356,30 +372,58 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
     K = nonzero[-1] + 1 if nonzero.size else 0
     out = np.zeros(w0.shape, dtype=complex)
     if K:
-        n = np.arange(K)
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(w0))
-        theta = np.angle(w0)
-        rows = max(1, _BLOCK // K)
-        for lo in range(0, w0.size, rows):
-            block = slice(lo, lo + rows)
-            with np.errstate(invalid="ignore"):
-                logmag = np.multiply.outer(log_abs[block], n)
-            logmag[:, 0] = 0.0  # w0^0 = 1, also at w0 = 0
-            logmag += log_c[:K]
-            shift = logmag.max(axis=1)
-            logmag -= shift[:, None]
-            # a NaN keeps every column, so it reaches the output
-            live = np.flatnonzero(~(logmag.max(axis=0) < _LOG_TINY))
-            k = live[-1] + 1 if live.size else K
-            terms = np.empty((len(shift), k), dtype=complex)
-            terms.real = logmag[:, :k]
-            np.multiply.outer(theta[block], n[:k], out=terms.imag)
-            np.exp(terms, out=terms)
-            out[block] = scale_by_exp(terms @ weights[:k], log_pref[block] + shift)
+            log_t = log_c[:K] + np.log(np.abs(weights[:K]))  # log|c_n weights_n|
+        arg_t = np.arctan2(weights[:K].imag, weights[:K].real)
+        first, width, top = _windows(log_abs, log_t)
+        log_abs[w0 == 0] = 0.0  # the window there is {0} or empty
+        theta = np.arctan2(w0.imag, w0.real)
+        rows = np.flatnonzero(width)  # an empty window leaves an exact 0
+        ends = np.cumsum(width[rows])
+        lo = 0
+        while lo < rows.size:
+            # whole windows, at most _BLOCK terms unless one window is wider
+            hi = max(lo + 1, np.searchsorted(ends, ends[lo] - width[rows[lo]] + _BLOCK, "right"))
+            r, lo = rows[lo:hi], hi
+            # one flat run of every window: the k-th window of the run starts
+            # at start[k], and each term has its point and its mode n
+            i = np.repeat(np.arange(r.size), width[r])
+            start = np.cumsum(width[r]) - width[r]
+            n = np.arange(i.size) + (first[r] - start)[i]
+            point = r[i]
+            terms = np.empty(n.size, dtype=complex)
+            terms.real = log_t[n] + n * log_abs[point] - top[point]
+            terms.imag = n * theta[point] + arg_t[n]
+            sums = np.add.reduceat(np.exp(terms, out=terms), start)
+            out[r] = scale_by_exp(sums, log_pref[r] + top[r])
     if zs.ndim == 0:
         return complex(out[0])
     return out.reshape(zs.shape)
+
+
+def _windows(log_abs: np.ndarray, log_t: np.ndarray):
+    """First mode, width and largest log|t_n| of each point's window in
+    series_at, from log|w0| per point and log|c_n weights_n| per mode."""
+    K = log_t.size
+    n = np.arange(K)
+    first = np.empty(log_abs.size, dtype=np.intp)
+    width, top = np.empty_like(first), np.empty(log_abs.size)
+    rows = max(1, _BLOCK // K)
+    for lo in range(0, log_abs.size, rows):
+        block = slice(lo, lo + rows)
+        with np.errstate(invalid="ignore"):
+            x = np.multiply.outer(log_abs[block], n)
+        x[:, 0] = 0.0  # w0^0 = 1, also at w0 = 0
+        x += log_t
+        top[block] = x.max(axis=1)
+        keep = x >= (top[block] + (_LOG_U - math.log(K)))[:, None]
+        first[block] = keep.argmax(axis=1)
+        # no nonzero term: empty; a NaN keeps nothing, so its window is all
+        # K modes and the NaN reaches the output
+        end = K - keep[:, ::-1].argmax(axis=1)
+        width[block] = np.where(top[block] == -np.inf, 0, end - first[block])
+    return first, width, top
 
 
 def sample(psi: FockVector, grid: PhaseGrid) -> SampleSet:
@@ -437,5 +481,17 @@ def scale_by_exp(values, log_factor) -> np.ndarray:
     out = np.zeros(values.shape, dtype=complex)
     nz = values != 0
     mag = np.abs(values[nz])
-    out[nz] = np.exp(np.log(mag) + log_factor[nz]) * (values[nz] / mag)
+    out[nz] = np.exp(np.log(mag) + log_factor[nz]) * unit_phase(values[nz], mag)
     return out
+
+
+def unit_phase(values, mag) -> np.ndarray:
+    """values / mag, with mag = |values|, and 0 where mag is 0 (a 0/0 the
+    caller silences).  Entries with |values| below the smallest normal
+    double are scaled by 2^600 (exactly) first, since a complex division by
+    a subnormal overflows; every other entry is the plain quotient."""
+    zero, small = mag == 0, mag < np.finfo(float).tiny
+    if np.count_nonzero(small) > np.count_nonzero(zero):  # a subnormal
+        values = np.where(small, values * 2.0**600, values)
+        mag = np.abs(values)
+    return np.where(zero, 0, values / mag)

@@ -26,8 +26,8 @@ import numpy as np
 
 from ._validation import as_finite_points, check_order
 from .exact import _Reconstructor, dft_log_scale, recover
-from .fock import _LOG_TINY, FockVector, PhaseGrid, grid_samples
-from .spectral import SpectralData, default_n_max, log_mode_weight
+from .fock import _LOG_TINY, _LOG_U, FockVector, PhaseGrid, grid_samples
+from .spectral import SpectralData, log_mode_weight
 
 __all__ = ["PartialReconstructor"]
 
@@ -71,12 +71,11 @@ class PartialReconstructor(_Reconstructor):
 
     @staticmethod
     def _log_filter(plan: SpectralData, z) -> np.ndarray:
-        """log c_n = log lam_n - log lhat_{n mod N}, out safely past the modal
-        index max(p, |z| sqrt(p)) of the |w0|^n lam_n terms at the largest
-        |z|, and never short of n_max."""
+        """log c_n = log lam_n - log lhat_{n mod N} for n below
+        `_filter_bound` at the largest sqrt(p) |z| of the call."""
         grid, zs = plan.grid, as_finite_points(z)
-        scale = max(grid.p, float(np.max(np.abs(zs), initial=0.0)) * math.sqrt(grid.p))
-        n = np.arange(max(plan.n_max, default_n_max(scale, grid.N)) + 1)
+        s = math.sqrt(grid.p) * float(np.max(np.abs(zs), initial=0.0))
+        n = np.arange(_filter_bound(grid.N, s))
         return log_mode_weight(n, grid.p, grid.N) - plan.log_folded[n % grid.N]
 
     # own class attributes: perfbench/tracing.py wraps them through vars(cls)
@@ -155,3 +154,37 @@ def _alias_bound(p: float, N: int, log_floor: float) -> int:
         hi *= 2
     return bisect.bisect_left(range(hi + 1), True, lo, key=dead)
 
+
+def _filter_bound(N: int, s: float) -> int:
+    """Length L >= N of the projection's off-grid series, valid at every
+    point with sqrt(p) |z| <= s: its terms past L sum to at most u/L of the
+    point's largest term below L, u = 2^-53, whatever the weights.
+
+    The weights depend on n mod N only, and so does lhat, so term n and
+    term a = n - qN differ by the factor g(n)/g(a), g(n) = s^n/n! (that is
+    lam_n |w0|^n over lam_a |w0|^a).  Take every a in one period
+    A..A+N-1 <= L-1 placed on the peak n ~ s of g.  g is log-concave, so
+    g(a) >= min(g(A), g(A+N-1)), and from L >= s on it falls by at least
+    s/(L+1) per mode.  The tail is then at most max|t| g(L) /
+    ((1 - s/(L+1)) min(g(A), g(A+N-1))), and L is the first length where
+    that factor is below u/L; one nat plus 1e-12 of the magnitudes summed
+    covers the rounding of math.lgamma.  At fixed A every factor grows with
+    s, so the bound for the largest s holds at each point.  Found by
+    bisection."""
+    if s == 0.0:
+        return N  # only the n = 0 term is nonzero
+    log_s = math.log(s)
+
+    def log_g(n: int) -> float:
+        return n * log_s - math.lgamma(n + 1.0)
+
+    def dead(L: int) -> bool:
+        A = min(max(0, round(s - 0.5 * (N - 1))), L - N)
+        slack = 1.0 + 1e-12 * (L * abs(log_s) + math.lgamma(L + 1.0))
+        tail = log_g(L) - math.log1p(-s / (L + 1)) - min(log_g(A), log_g(A + N - 1))
+        return tail + slack <= _LOG_U - math.log(L)
+
+    lo = hi = max(N, math.ceil(s))
+    while not dead(hi):
+        hi *= 2
+    return bisect.bisect_left(range(hi + 1), True, lo, key=dead)

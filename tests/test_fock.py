@@ -17,6 +17,7 @@ from phaseframe import (
     evaluate,
     sample,
 )
+from phaseframe.fock import scale_by_exp
 
 
 def unit_state(rng, length):
@@ -104,6 +105,15 @@ def test_overlap_conjugate_symmetry_and_bound(x1, y1, x2, y2):
     b = cs_overlap(z2, z1)
     assert a == pytest.approx(b.conjugate(), abs=1e-14)
     assert abs(a) <= 1.0 + 1e-14
+
+
+def test_overlap_of_equal_far_points_is_one():
+    # Im(conj(z1) z2) is inf - inf past |Re z|, |Im z| ~ 1e154; it is then
+    # formed as Im(conj(z1) (z2 - z1))
+    z = 1e200 * (1 + 1j)
+    assert cs_overlap(z, z) == 1
+    table = cs_overlap(np.array([z, -z, 1.0]), z)
+    assert table[0] == 1 and np.array_equal(table[1:], [0, 0])
 
 
 def test_overlap_expansion_over_modes():
@@ -357,3 +367,14 @@ def test_grid_and_samples_json_round_trip():
         PhaseGrid.from_json({"N": 3})
     with pytest.raises(ValueError):
         SampleSet.from_json({"grid": grid.to_json(), "values": [[1.0]]})
+
+
+def test_subnormal_values_stay_finite():
+    # 1/|v| overflows for a subnormal v; both routes scale it by 2^600 first
+    assert evaluate(FockVector([1e-310]), 0.5) == pytest.approx(
+        1e-310 * math.exp(-0.125), rel=1e-12
+    )
+    v = np.array([1e-310 - 3e-311j, 0.0, 2.0 + 1.0j])
+    out = scale_by_exp(v, np.array([0.0, 5.0, 1.0]))
+    assert np.all(np.isfinite(out)) and out[1] == 0
+    assert np.allclose(out, v * np.exp([0.0, 5.0, 1.0]), rtol=1e-12, atol=0)

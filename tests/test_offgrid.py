@@ -41,9 +41,9 @@ def _routes(N, p, M, seed):
 
 
 def test_batches_agree_with_single_points():
-    # every route here sums at least M + 1 = 512 modes, so 120 points span
-    # at least 3 blocks; rounding may differ between a block and a single
-    # point (vector lanes and sum lengths), but only in the last digits
+    # every route here has at least M + 1 = 512 modes, so the window search
+    # over 120 points spans at least 3 blocks; rounding may differ between a
+    # block and a single point (vector lanes), but only in the last digits
     N, p, M = 512, 256.0, 511
     z = np.linspace(0.0, 2.5, 120) * math.sqrt(p) * np.exp(1j * np.linspace(0, 40, 120))
     assert len(z) > 3 * (fock._BLOCK // (M + 1))
@@ -117,7 +117,11 @@ def _mp_series(mp, z, log_c, c, weights, N, p):
     are below e^-160 < 1e-69 of it."""
     zm = mp.mpc(z.real, z.imag)
     w0 = mp.conj(zm) / mp.sqrt(p)
-    log_mag = log_c + np.arange(len(log_c)) * math.log(abs(z) / math.sqrt(p))
+    n = np.arange(len(log_c))
+    if z:
+        log_mag = log_c + n * math.log(abs(z) / math.sqrt(p))
+    else:  # w0^0 = 1 is the only nonzero power
+        log_mag = np.where(n == 0, log_c, -np.inf)
     keep = np.flatnonzero(log_mag >= log_mag.max() - 160.0)
     power = w0 ** int(keep[0])
     total = size = size_c = 0
@@ -131,20 +135,55 @@ def _mp_series(mp, z, log_c, c, weights, N, p):
     return total * pref, size * pref, size_c * pref
 
 
+def _mp_filter(mp, N, p, z):
+    """Series length L, lam_n = N e^{-p} p^n / n! (50 digits, by recurrence)
+    and its double log, and the projection filter lam_n / lhat_{n mod N} as
+    (double log, 50 digits), for n < L.  L reaches past the modal index of
+    the largest |z| by the old default 20 sqrt + 10 N margin, far beyond the
+    length the library sums, and lhat_j sums every stored member."""
+    scale = max(p, float(np.max(np.abs(z))) * math.sqrt(p))
+    L = max(
+        math.ceil(p + 20 * math.sqrt(p) + 10 * N),
+        math.ceil(scale + 20 * math.sqrt(scale) + 10 * N),
+    ) + 1
+    lam = [mp.mpf(N) * mp.exp(-p)]
+    for n in range(1, L):
+        lam.append(lam[-1] * p / n)
+    lhat = [mp.fsum(lam[j::N]) for j in range(N)]
+    c_partial = [lam[n] / lhat[n % N] for n in range(L)]
+    log_lhat = np.array([float(mp.log(v)) for v in lhat])
+    n = np.arange(L)
+    log_lam = math.log(N) - p + n * math.log(p) - np.array([math.lgamma(m + 1) for m in n])
+    return L, lam, log_lam, log_lam - log_lhat[n % N], c_partial
+
+
+def _model_tol(z, p, K, size, fft_mass=0, size_c=0, N=1):
+    """c K u sum|term| of the rounding model in
+    test_far_kernel_routes_match_high_precision_reference, plus the FFT's
+    2 log2(N) u sum_k |Psi_k| per sample-DFT weight.  At z = 0 only the
+    n = 0 term is nonzero, and n log|w0| adds nothing to it."""
+    log_w0 = abs(math.log(abs(z) / math.sqrt(p))) if z else 0.0
+    cK = (math.log(K) + abs(math.log(p)) + log_w0 + math.pi + 2) * K
+    return U * (cK * size + 2 * math.log2(N) * fft_mass * size_c)
+
+
 def test_far_kernel_routes_match_high_precision_reference():
     """At N = p = 2048, M = N - 1 and |z| = 1.4..1.6 sqrt(p) the terms
     |w0|^n of the kernel series pass 1e308; summed without a shift they gave
     NaN.  The four kernel routes must match a 50-digit evaluation of the
     same finite sums from the same double samples.
 
-    Rounding model: term n is exp(x_n + i n theta) W_n, with x_n a sum of
-    logarithms each at most n (log n + |log p| + |log|w0|| + 1) in size and
-    |n theta| <= n pi, so for n < K its relative error is below
-    u K (log K + |log p| + |log|w0|| + pi + 1), and the K-term sum adds
-    K u more: c K u sum_n |term_n| with c = log K + |log p| + |log|w0|| +
-    pi + 2.  The sample routes take W_n = S_{n mod N} from a radix-2 FFT,
-    off by at most 2 log2(N) u sum_k |Psi_k| each, which adds that times
-    sum_n |c_n w0^n|.
+    Rounding model: term n is exp(x_n + i phi_n), with x_n = log c_n +
+    n log|w0| + log|W_n| less the point's largest, and phi_n = n theta +
+    arg W_n.  For n < K the logarithms in x_n come to at most
+    K (log K + |log p| + |log|w0|| + 1) in size (log|W_n| is far inside
+    that for these weights) and |phi_n| <= K pi, so the relative error of a
+    term is below u K (log K + |log p| + |log|w0|| + pi + 1), and the K-term
+    sum adds K u more: c K u sum_n |term_n| with c = log K + |log p| +
+    |log|w0|| + pi + 2.  Terms below u/K of the largest, which the library
+    leaves out, sum to less than u max|term|, inside that.  The sample routes
+    take W_n = S_{n mod N} from a radix-2 FFT, off by at most
+    2 log2(N) u sum_k |Psi_k| each, which adds that times sum_n |c_n w0^n|.
     """
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
@@ -160,24 +199,7 @@ def test_far_kernel_routes_match_high_precision_reference():
     S = _mp_dft(mp, [mp.mpc(v.real, v.imag) for v in x], roots)
     unit = [roots[(k * j) % N] for j in range(N)]
 
-    # lam_n = N e^{-p} p^n / n! by recurrence, out to the partial series'
-    # own length (the modal index of the largest |z|, plus the default
-    # 20 sqrt + 10 N margin), with lhat_j summed over every stored member
-    scale = max(p, float(np.max(np.abs(z))) * math.sqrt(p))
-    L = max(
-        math.ceil(p + 20 * math.sqrt(p) + 10 * N),
-        math.ceil(scale + 20 * math.sqrt(scale) + 10 * N),
-    ) + 1
-    lam = [mp.mpf(N) * mp.exp(-p)]
-    for n in range(1, L):
-        lam.append(lam[-1] * p / n)
-    lhat = [mp.fsum(lam[j::N]) for j in range(N)]
-    c_partial = [lam[n] / lhat[n % N] for n in range(L)]
-    log_lhat = np.array([float(mp.log(v)) for v in lhat])
-    n = np.arange(L)
-    log_partial = (
-        math.log(N) - p + n * math.log(p) - np.array([math.lgamma(m + 1) for m in n])
-    ) - log_lhat[n % N]
+    L, _, _, log_partial, c_partial = _mp_filter(mp, N, p, z)
     mass = mp.fsum(abs(mp.mpc(v.real, v.imag)) for v in x)
     exact_c = (np.zeros(M + 1), [mp.mpf(1)] * (M + 1))
     partial_c = (log_partial, c_partial)
@@ -203,13 +225,111 @@ def test_far_kernel_routes_match_high_precision_reference():
         K = len(log_c)
         for i, zz in enumerate(z):
             ref, size, size_c = _mp_series(mp, zz, log_c, c, weights, N, p)
-            log_w0 = abs(math.log(abs(zz) / math.sqrt(p)))
-            cK = (math.log(K) + abs(math.log(p)) + log_w0 + math.pi + 2) * K
-            tol = U * (cK * size + 2 * math.log2(N) * mass_w * size_c)
+            tol = _model_tol(zz, p, K, size, mass_w, size_c, N)
             err = abs(mp.mpc(got[i].real, got[i].imag) - ref)
             assert err <= tol, (
                 f"{name} at z = {zz:.6g}: error {float(err):.3e} > {float(tol):.3e}"
             )
+
+
+# -- 50-digit references on the benchmark grid and past both ends of N/p ----
+
+# (N, p, state modes lo..M, routes); the Poisson window of p = 128 is
+# 38..219, as in the offgrid benchmark workload
+OFFGRID_GRIDS = [
+    (256, 128.0, 38, 219, "all"),
+    (64, 4.0, 0, 20, "partial"),  # N >> p
+    (8, 200.0, 87, 313, "partial"),  # N << p
+]
+
+
+@pytest.mark.parametrize("N, p, lo, M, which", OFFGRID_GRIDS)
+def test_offgrid_routes_match_high_precision_reference(N, p, lo, M, which):
+    """Every off-grid route at radii 0..2 sqrt(p), z = 0 included, against
+    50-digit sums of the same series from the same double inputs: the state
+    (evaluate), the fitted coefficients (predict) or the samples (the kernel
+    routes), held to the rounding model of
+    test_far_kernel_routes_match_high_precision_reference.  The reference
+    sums the projection's series out to the old p + 20 sqrt(p) + 10 N
+    length, so a filter length that stops too early fails here; the N >> p
+    and N << p grids put the period far from and far below the peak width.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(23)
+    psi = _state(rng, lo, M)
+    x = sample(psi, PhaseGrid(N, p)).values
+    partial = PartialReconstructor(N=N, p=p).fit(x)
+    radius = math.sqrt(p)
+    z = np.array([0.0] + [r * radius * np.exp(1j * (1 + 2.3 * r)) for r in (0.3, 0.7, 1.0, 1.4, 2.0)])
+    k = 3
+
+    roots = [mp.expjpi(mp.mpf(2 * j) / N) for j in range(N)]
+    S = _mp_dft(mp, [mp.mpc(v.real, v.imag) for v in x], roots)
+    unit = [roots[(k * j) % N] for j in range(N)]
+    mass = mp.fsum(abs(mp.mpc(v.real, v.imag)) for v in x)
+    L, lam, log_lam, log_partial, c_partial = _mp_filter(mp, N, p, z)
+    partial_c = (log_partial, c_partial)
+
+    def state_case(got, a):
+        # sum_n a_n conj(z)^n / sqrt(n!) e^{-|z|^2/2}, as the kernel-route
+        # series with c_n = sqrt(N lam_n) and w0 = conj(z) / sqrt(p)
+        K = len(a)
+        with np.errstate(divide="ignore"):
+            log_a = np.log(np.abs(a))  # guides the summed run of modes
+        c = [mp.sqrt(N * lam[n]) for n in range(K)]
+        weights = [mp.mpc(v.real, v.imag) for v in a]
+        return got, (0.5 * (math.log(N) + log_lam[:K]) + log_a, c), weights, 0
+
+    cases = {
+        "partial_predict": state_case(partial.predict(z), partial.coef_),
+        "partial_reconstruct": (partial.reconstruct(x, z), partial_c, [S[n % N] for n in range(L)], mass),
+        "lagrange_kernel": (partial.lagrange_kernel(k, z), partial_c, [unit[n % N] for n in range(L)], 0),
+    }
+    if which == "all":
+        exact = ExactReconstructor(N=N, p=p, M=M).fit(x)
+        exact_c = (np.zeros(M + 1), [mp.mpf(1)] * (M + 1))
+        cases.update({
+            "evaluate": state_case(evaluate(psi, z), psi.coefficients),
+            "exact_predict": state_case(exact.predict(z), exact.coef_),
+            "exact_reconstruct": (exact.reconstruct(x, z), exact_c, S[: M + 1], mass),
+            "sinc_kernel": (exact.sinc_kernel(k, z), exact_c, unit[: M + 1], 0),
+        })
+        assert len(cases) == 7
+    for name, (got, (log_c, c), weights, mass_w) in cases.items():
+        assert np.all(np.isfinite(got)), name
+        for i, zz in enumerate(z):
+            ref, size, size_c = _mp_series(mp, zz, log_c, c, weights, N, p)
+            tol = _model_tol(zz, p, len(log_c), size, mass_w, size_c, N)
+            err = abs(mp.mpc(got[i].real, got[i].imag) - ref)
+            assert err <= tol, (
+                f"{name} at z = {zz:.6g}: error {float(err):.3e} > {float(tol):.3e}"
+            )
+
+
+def test_degenerate_rows_are_exact_zeros():
+    # a point with no nonzero term has an empty window and gives an exact
+    # 0, also when it shares a batch with far points
+    z = np.array([0.0, 30.0, 300.0j, 1e5 * np.exp(0.4j)])
+    out = evaluate(FockVector([0.0, 0.6, 0.8j]), z)  # z = 0 with a_0 = 0
+    assert out[0] == 0 and np.all(np.isfinite(out))
+    assert evaluate(FockVector([0.0, 0.6]), 0.0) == 0
+    N, p, M = 8, 6.0, 7
+    zeros = np.zeros(N)
+    exact = ExactReconstructor(N=N, p=p, M=M)
+    partial = PartialReconstructor(N=N, p=p)
+    all_zero = {
+        "evaluate": evaluate(FockVector(np.zeros(M + 1)), z),
+        "exact_reconstruct": exact.reconstruct(zeros, z),
+        "partial_reconstruct": partial.reconstruct(zeros, z),
+        "partial_predict": partial.fit(zeros).predict(z),
+    }
+    for name, value in all_zero.items():
+        assert np.array_equal(value, np.zeros(len(z))), name
+    # w0 = 0 beside far points: the n = 0 term alone, e^{p/2} / N at k = 3
+    for kernel in (exact.sinc_kernel(3, z), partial.lagrange_kernel(3, z)):
+        assert np.all(np.isfinite(kernel))
+    assert exact.sinc_kernel(3, z)[0] == pytest.approx(math.exp(p / 2) / N, rel=1e-14)
 
 
 @pytest.mark.parametrize("z", [np.nan, np.inf, complex(np.nan, 1.0)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from phaseframe import (
     ExactReconstructor,
@@ -27,8 +28,11 @@ from phaseframe import spectral as spectral_module
 from phaseframe.exact import recover
 from phaseframe.fock import _LOG_TINY, scale_by_exp
 from phaseframe.oracle import DenseFrame, dense_project
-from phaseframe.partial import _alias_bound
+from phaseframe.partial import _alias_bound, _filter_bound
 from phaseframe.spectral import default_n_max, log_folded_weight, log_mode_weight
+
+
+U = np.finfo(float).eps / 2
 
 
 def unit_state(rng, length):
@@ -423,6 +427,17 @@ def test_recover_keeps_the_nonfinite_error():
                     PartialReconstructor(N=N, p=2.0).fit(x)
 
 
+def test_subnormal_residue_is_recovered():
+    # 1/|S| overflows for a subnormal S, so S/|S| is formed after scaling by
+    # a power of two
+    out = PartialReconstructor(N=1, p=5.0).transform([-1e-310])
+    n = np.arange(out.shape[-1])
+    scale = np.exp(0.5 * log_mode_weight(n, 5.0, 1) - log_folded_weight(5.0, 1)[0])
+    assert np.all(np.isfinite(out)) and out[0, 0] != 0
+    tiny = np.finfo(float).smallest_subnormal
+    assert np.allclose(out[0], -1e-310 * scale, rtol=1e-12, atol=4 * tiny)
+
+
 def _window_samples(N, p, seed):
     """Samples of a random state on the Poisson window p +- 8 sqrt(p)."""
     lo, hi = math.ceil(p - 8 * math.sqrt(p)), math.floor(p + 8 * math.sqrt(p))
@@ -522,3 +537,28 @@ def test_rejects_wrong_sample_length_and_grid():
     ss = sample(FockVector.basis_state(0), PhaseGrid(4, 3.0))
     with pytest.raises(ValueError, match="does not match"):
         rec.fit(ss)
+
+
+@pytest.mark.parametrize("N, p", [(256, 128.0), (64, 4.0), (8, 200.0), (1, 5.0), (2048, 2048.0)])
+def test_filter_bound_holds_for_any_periodic_weights(N, p):
+    """The projection's off-grid series stops at L = _filter_bound(N, s),
+    s = sqrt(p) max|z|.  Its tail past L must sum to at most u/L of the
+    largest term below L for any weights W_{n mod N}, at the largest |z| and
+    at smaller ones.  The worst case takes |W_j| = 1 / (the largest term of
+    class j below L), which gives sum_j (tail of class j) / (its largest
+    term below L); that is summed here in log space out to the old
+    p + 20 sqrt(p) + 10 N length at the largest |z|."""
+    r_max = 2.0  # largest |z| / sqrt(p)
+    z = r_max * math.sqrt(p) * np.exp(0.3j) * np.array([1.0, 0.5, 0.0])
+    L = _filter_bound(N, math.sqrt(p) * float(np.max(np.abs(z))))
+    plan = PartialReconstructor(N=N, p=p)._plan()
+    assert len(PartialReconstructor._log_filter(plan, z)) == L >= N
+    far = default_n_max(r_max * p, N) + 1
+    rows = -(-far // N)
+    n = np.arange(rows * N).reshape(rows, N)
+    log_c = log_mode_weight(n, p, N) - log_folded_weight(p, N)[n % N]
+    for r in (r_max, 1.0, 0.5):
+        x = log_c + n * math.log(r)  # log c_n |w0|^n, |w0| = |z| / sqrt(p)
+        top = np.where(n < L, x, -np.inf).max(axis=0)
+        tail = logsumexp(np.where(n >= L, x, -np.inf), axis=0)
+        assert logsumexp(tail - top) <= math.log(U / L), r
