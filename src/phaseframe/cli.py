@@ -277,12 +277,8 @@ def _cmd_error_sweep(args) -> int:
 
 def _cmd_droplet(args) -> int:
     Ms = _parse_int_list(args.M, "--M")
-    if any(M < 0 for M in Ms):
-        raise ValueError("--M orders must be >= 0")
     ps = _parse_float_spec(args.p_range, "--p-range")
-    if any(p < 0 for p in ps):
-        raise ValueError("droplet radii must be >= 0")
-    curves = {M: [droplet(M, p) for p in ps] for M in Ms}
+    curves = {M: droplet(M, ps).tolist() for M in Ms}
     payload = {"M": Ms, "p": ps, "values": {str(M): curves[M] for M in Ms}}
     _emit(args, payload, [("p", ps), *((f"P_{M}", curves[M]) for M in Ms)])
     return 0

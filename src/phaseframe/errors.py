@@ -11,19 +11,21 @@ E^2 <= eps^2 (1 + (1+nu_0)^2).
 
 The droplet P_M(p) = e^{-p} sum_{m<=M} p^m/m! is the coherent expectation of
 the truncation projector; it steps from 1 to 0 around p_c = M+1 with width
-sqrt(M+1), and eps_N^2 of a coherent state equals 1 - P_{N-1}(p).
+sqrt(M+1), and eps_N^2 of a coherent state equals 1 - P_{N-1}(p).  Both are
+the regularized incomplete gamma function Q(M+1, p) and its complement, taken
+from scipy.special.pdtr / pdtrc over a scalar or an array of radii.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import pdtr, pdtrc
 
 from ._validation import check_grid_size, check_order
-from .fock import CoherentPoint, FockVector, PhaseGrid, _log_poisson
+from .fock import CoherentPoint, FockVector, PhaseGrid
 from .oracle import DenseFrame, OracleSizeError, measured_error_sq
 from .spectral import build_overlap, critical_radius, default_n_max, log_aliasing_excess
 
@@ -65,54 +67,51 @@ def truncation_epsilon(psi: FockVector, M: int) -> float:
     return math.sqrt(min(1.0, ratio))
 
 
-def _poisson_tails(M: int, p) -> tuple[float, float]:
-    """(P_M(p), 1 - P_M(p)) for an order M and a radius p >= 0.
+def _poisson_tails(M: int, p):
+    """(P_M(p), 1 - P_M(p)) for an order M and radii p >= 0, each a float for
+    a scalar p and an array of p's shape otherwise.
 
-    The tail on the far side of the step p_c = M+1 is summed term by term in
-    log space and the near one is its complement, so the small tail keeps its
-    full relative precision.  The terms fall at ratio p/m above M and m/p at
-    and below M, so span = 45 sqrt(max(p, M+1)) + 60 terms next to M hold
-    all but e^{-span^2/2 max(p, M+1)} < e^{-1000} of the sum.
+    scipy's pdtr / pdtrc give the regularized incomplete gamma functions
+    Q(M+1, p) and P(M+1, p).  On each side of the step p_c = M+1 only the
+    small tail is taken from them and the other is its complement, so the
+    plateau is exactly 1, the curve is monotone, and 1 - P_M(p) is the upper
+    tail to within one rounding of 1.
     """
     M = check_order(M, "M")
-    if isinstance(p, numbers.Real):
-        p = float(p)
-    else:
-        raise ValueError(f"p must be a real scalar, got {p!r}")
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValueError(f"p must be finite and >= 0, got {p}")
-    if p == 0.0:
-        return 1.0, 0.0
-    span = int(math.ceil(45.0 * math.sqrt(max(p, M + 1.0)) + 60.0))
-    if p < M + 1.0:
-        m = np.arange(M + 1, M + 1 + span, dtype=float)
-    else:
-        m = np.arange(max(0, M + 1 - span), M + 1, dtype=float)
-    far = float(np.sum(np.exp(_log_poisson(m, p))))
-    if p < M + 1.0:
-        return max(0.0, 1.0 - far), far
-    total = min(1.0, far)
-    return total, 1.0 - total
+    radii = np.asarray(p)
+    if radii.dtype.kind not in "biuf":
+        raise ValueError(f"p must be real, got {p!r}")
+    radii = radii.astype(float)
+    bad = radii[~(np.isfinite(radii) & (radii >= 0.0))]
+    if bad.size:
+        raise ValueError(f"p must be finite and >= 0, got {bad[0]}")
+    left = radii < M + 1.0
+    small = np.where(left, pdtrc(M, radii), pdtr(M, radii))
+    lower = np.where(left, 1.0 - small, small)
+    upper = np.where(left, small, 1.0 - small)
+    if radii.ndim == 0:
+        return float(lower), float(upper)
+    return lower, upper
 
 
-def droplet(M: int, p: float) -> float:
-    """P_M(p) = e^{-p} sum_{m=0}^{M} p^m/m!, evaluated in log space.
+def droplet(M: int, p):
+    """P_M(p) = e^{-p} sum_{m=0}^{M} p^m/m! for a scalar or an array p.
 
-    Integer-order regularized incomplete gamma as an explicit Poisson sum;
+    The integer-order regularized incomplete gamma Q(M+1, p), from scipy;
     decreases monotonically from 1 at p = 0 towards 0, stepping near
-    p_c = M+1 with width sqrt(M+1).  Left of the step the complement (upper
-    tail) is summed instead, so the plateau at 1 is flat to the last bit.
-    Either sum takes O(sqrt(max(p, M))) terms.
+    p_c = M+1 with width sqrt(M+1).  Left of the step it is formed as the
+    complement of the upper tail, so the plateau at 1 is flat to the last bit.
     """
     return _poisson_tails(M, p)[0]
 
 
-def coherent_epsilon(p=None, N=None, *, zeta=None) -> float:
+def coherent_epsilon(p=None, N=None, *, zeta=None):
     """Squared truncation mass eps_N^2 of a coherent state: 1 - P_{N-1}(p).
 
-    Accepts either the mean number p directly or the coherent label zeta
-    (then p = |zeta|^2).  Left of the step the upper tail is summed directly,
-    so a tiny eps_N^2 keeps its relative precision instead of rounding to 0.
+    Accepts either the mean number p (a scalar or an array) or the coherent
+    label zeta (then p = |zeta|^2).  Left of the step the upper tail is
+    computed directly, so a tiny eps_N^2 keeps its relative precision
+    instead of rounding to 0.
     """
     if zeta is not None:
         if p is not None:
@@ -122,7 +121,7 @@ def coherent_epsilon(p=None, N=None, *, zeta=None) -> float:
     if p is None:
         raise ValueError("missing mean number p (or zeta)")
     N = check_grid_size(N)
-    return _poisson_tails(N - 1, float(p))[1]
+    return _poisson_tails(N - 1, p)[1]
 
 
 def _resolve_nu0(p, N, nu0) -> tuple[float, float | None]:

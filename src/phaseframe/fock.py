@@ -218,7 +218,7 @@ class PhaseGrid:
     def from_json(data: dict) -> "PhaseGrid":
         if not isinstance(data, dict) or "N" not in data or "p" not in data:
             raise ValueError("grid JSON must contain 'N' and 'p'")
-        return PhaseGrid(int(data["N"]), float(data["p"]))
+        return PhaseGrid(data["N"], data["p"])
 
 
 @dataclass

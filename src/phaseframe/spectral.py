@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -253,22 +252,6 @@ class CirculantOverlap:
         lo = float(np.min(self.eigenvalues))
         hi = float(np.max(self.eigenvalues))
         return math.inf if lo == 0.0 else hi / lo
-
-    def solve(self, v) -> np.ndarray:
-        """B^{-1} v = F diag(1/lhat) F* v with the unitary DFT matrix F,
-        applied as fft(ifft(v) / lhat)."""
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (self.grid.N,):
-            raise ValueError(f"expected a length-{self.grid.N} vector")
-        cond = self.condition()
-        if cond > 1e12:
-            warnings.warn(
-                f"overlap matrix condition number {cond:.3e} exceeds 1e12; "
-                "inverse application is unreliable",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return np.fft.fft(np.fft.ifft(v) / self.eigenvalues)
 
 
 def build_overlap(grid: PhaseGrid) -> CirculantOverlap:

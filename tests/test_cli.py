@@ -245,6 +245,20 @@ def test_reconstruct_needs_input(capsys):
     assert "--samples and/or --state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid,code", [
+    ({"N": 4, "p": 2}, 0), ({"N": 4, "p": 2.0}, 0),
+    ({"N": 4.7, "p": 2.0}, 2), ({"N": "4", "p": 2.0}, 2), ({"N": 4, "p": "2"}, 2),
+    ({"N": None, "p": 2.0}, 2), ({"N": 4, "p": [2.0]}, 2),
+])
+def test_sample_file_grid_needs_an_integer_N_and_a_real_p(tmp_path, capsys, grid, code):
+    data = SampleSet(PhaseGrid(4, 2.0), np.ones(4)).to_json()
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({**data, "grid": grid}))
+    assert main(["reconstruct", "--mode", "exact", "--samples", str(path)]) == code
+    if code:
+        assert "cannot load sample file" in capsys.readouterr().err
+
+
 def test_reconstruct_grid_conflicts(tmp_path, capsys):
     samp = write_samples(tmp_path, PhaseGrid(4, 2.5), np.ones(4))
     assert main(

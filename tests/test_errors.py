@@ -97,7 +97,7 @@ def test_droplet_derivative_is_negative_poisson_term():
 
 
 def test_droplet_work_is_bounded_right_of_the_step():
-    # only the O(sqrt(p)) terms next to m = M are summed, not all M + 1
+    # scipy's incomplete gamma at M = 10^7 allocates no O(M) array
     tracemalloc.start()
     try:
         droplet(10**7, 1.01e7)
@@ -107,15 +107,62 @@ def test_droplet_work_is_bounded_right_of_the_step():
     assert peak < 16 * 2**20
 
 
+def _small_tail_40_digits(M, p):
+    """The tail on the far side of the step p_c = M + 1 to 40 digits: the
+    upper tail 1 - P_M(p) left of it, P_M(p) at and right of it.
+
+    Up to M = 10^4 it is a direct sum outward from m = M, stopped once a term
+    is below 1e-45 of the sum (the terms fall geometrically from there on).
+    Above that, mpmath's upper incomplete gamma Q(M + 1, p) = P_M(p), which
+    converges at the step where the direct sum would be slow; its lower
+    gamma raises NoConvergence at (10^6, 9e5), so no deep left tail is taken
+    at large M.
+    """
+    tiny = mpmath.mpf(10) ** -45
+    with mpmath.workdps(40):
+        p_ = mpmath.mpf(p)
+        if M > 10**4:
+            q = mpmath.gammainc(M + 1, p_, mpmath.inf, regularized=True)
+            return float(q if p >= M + 1 else 1 - q)
+        term = mpmath.exp(-p_ + M * mpmath.log(p_) - mpmath.loggamma(M + 1))
+        if p < M + 1:  # m = M + 1, M + 2, ...
+            total, m = mpmath.mpf(0), M
+            while True:
+                m += 1
+                term *= p_ / m
+                total += term
+                if term < total * tiny:
+                    return float(total)
+        total, m = term, M  # m = M, M - 1, ..., 0
+        while m > 0 and term >= total * tiny:
+            term *= m / p_
+            m -= 1
+            total += term
+        return float(total)
+
+
 def test_droplet_window_matches_incomplete_gamma():
-    # P_M(p) = Q(M + 1, p); the window drops terms below e^-1000 of m = M
-    M, p = 10**6, 1.0001e6
-    with mpmath.workdps(30):
-        want = float(mpmath.gammainc(M + 1, p, mpmath.inf, regularized=True))
-    # each log term sums parts of size p, M log p and lgamma(M + 1), each off
-    # by a few units of roundoff (the rounding model of tests/test_fold.py)
-    rel = 4.0 * 2.0**-53 * (p + M * math.log(p) + math.lgamma(M + 1.0))
-    assert droplet(M, p) == pytest.approx(want, rel=rel, abs=0.0)
+    # P_M(p) = Q(M + 1, p) and 1 - P_M(p) against 40 digits: at p = 0, on
+    # the plateau (the upper tail underflows, P is exactly 1), in deep tails
+    # on both sides of the step, and at the step for M = 10^6 and 10^7
+    assert errors._poisson_tails(0, 0.0) == (1.0, 0.0)
+    assert errors._poisson_tails(1000, 0.0) == (1.0, 0.0)
+    cases = [
+        (1000, 10.0), (40, 5.0), (300, 40.0), (2000, 1200.0), (10**4, 8000.0),
+        (0, 30.0), (10, 200.0), (2569, 4686.0), (10**4, 12500.0),
+        (10**6, 1.0001e6), (10**6, 10**6 + 0.5), (10**6, 0.999e6),
+        (10**7, 1.01e7), (10**7, 10**7 + 0.5), (10**7, 0.9999e7),
+    ]
+    for M, p in cases:
+        want = _small_tail_40_digits(M, p)
+        lower, upper = errors._poisson_tails(M, p)
+        small, large = (upper, lower) if p < M + 1 else (lower, upper)
+        # the rounding model of tests/test_fold.py: parts of size p, M log p
+        # and lgamma(M + 1), each off by a few units of roundoff
+        rel = 4.0 * 2.0**-53 * (p + M * math.log(p) + math.lgamma(M + 1.0))
+        assert small == pytest.approx(want, rel=rel, abs=0.0), (M, p)
+        # the near tail is the complement of the small one, rounded once
+        assert large == 1.0 - small, (M, p)
 
 
 def test_droplet_rejects_bad_arguments():
@@ -127,6 +174,26 @@ def test_droplet_rejects_bad_arguments():
         droplet(3, math.nan)
     with pytest.raises(ValueError):
         droplet(3, "p")
+    # one bad entry of an array, a complex p or a string p
+    for p in ([1.0, -0.5], [1.0, math.nan], [math.inf, 1.0], [1.0 + 0.0j], 1j, "2.0"):
+        with pytest.raises(ValueError):
+            droplet(3, p)
+        with pytest.raises(ValueError):
+            coherent_epsilon(p, 4)
+
+
+@pytest.mark.parametrize("M", [10, 100, 1000])
+def test_droplet_and_coherent_epsilon_take_arrays(M):
+    ps = np.linspace(0.0, 1200.0, 241)  # droplet --p-range 0:1200:241
+    for radii in (ps, ps[:240].reshape(12, 20)):
+        for f in (lambda r: droplet(M, r), lambda r: coherent_epsilon(r, M + 1)):
+            got = f(radii)
+            assert got.shape == radii.shape
+            want = np.array([f(p) for p in radii.flat]).reshape(radii.shape)
+            assert np.array_equal(got, want)
+    for p in (3, 3.0, np.float64(3.0), np.array(3.0)):
+        assert type(droplet(M, p)) is float
+        assert type(coherent_epsilon(p, M + 1)) is float
 
 
 # -- coherent truncation mass -------------------------------------------------

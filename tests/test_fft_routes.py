@@ -13,7 +13,7 @@ import pytest
 
 from phaseframe import ExactReconstructor, FockVector, PhaseGrid, mode_weight, sample
 from phaseframe.oracle import DenseFrame, fourier_matrix
-from phaseframe.spectral import build_overlap, overlap_from_points
+from phaseframe.spectral import build_overlap
 
 U = 2.0**-53  # unit roundoff
 EPS = np.finfo(float).eps
@@ -45,28 +45,6 @@ def test_dft_eigenvalues_match_dense_dft(N, p):
     dense = (math.sqrt(N) * fourier_matrix(N) @ overlap.first_row).real
     got = overlap.dft_eigenvalues()
     assert np.max(np.abs(got - dense)) <= N * U * np.max(overlap.eigenvalues)
-
-
-@pytest.mark.parametrize("N", [97, 257])
-def test_solve_matches_dense_solve(N):
-    grid = PhaseGrid(N, 4.0 * N)
-    overlap = build_overlap(grid)
-    cond = overlap.condition()
-    assert cond < 1e6
-    rng = np.random.default_rng(N + 1)
-    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    got = overlap.solve(v)
-    B = overlap_from_points(grid)
-    dense = np.linalg.solve(B, v)
-    # solve divides by the series eigenvalues, while the dense B is built
-    # pairwise from the rounded points; the two differ by the series/DFT
-    # defect and by O(N u), both relative to ||B||.  Perturbation theory then
-    # bounds the gap by cond * (defect + the O(N u) rounding of either solve).
-    rel = overlap.series_dft_defect() + N * U
-    assert np.max(np.abs(got - dense)) <= cond * rel * np.max(np.abs(dense))
-    residual = B @ got - v
-    bound = rel * np.max(overlap.eigenvalues) * np.linalg.norm(got)
-    assert np.max(np.abs(residual)) <= bound
 
 
 def test_large_grid_exact_round_trip_stays_small():

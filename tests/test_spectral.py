@@ -218,25 +218,6 @@ def test_overlap_eigenvectors_are_fourier_modes():
         assert np.linalg.norm(B @ f - ov.eigenvalues[j] * f, np.inf) < 1e-12
 
 
-def test_overlap_solve_round_trip():
-    grid = PhaseGrid(8, 6.0)
-    ov = build_overlap(grid)
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    x = ov.solve(v)
-    B = overlap_from_points(grid)
-    assert np.allclose(B @ x, v, rtol=1e-10)
-    dense = np.linalg.solve(B, v)
-    assert np.allclose(x, dense, rtol=1e-9)
-
-
-def test_overlap_solve_warns_when_ill_conditioned():
-    ov = build_overlap(PhaseGrid(32, 4.0))
-    assert ov.condition() > 1e12
-    with pytest.warns(RuntimeWarning):
-        ov.solve(np.ones(32, dtype=complex))
-
-
 def test_overlap_series_dft_defect_small():
     ov = build_overlap(PhaseGrid(24, 18.0))
     assert ov.series_dft_defect() < 1e-11
