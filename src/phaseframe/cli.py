@@ -37,13 +37,7 @@ from .oracle import (
     rfm_orthogonality_defect,
 )
 from .partial import PartialReconstructor
-from .spectral import (
-    SERIES_TOL,
-    SpectralData,
-    aliasing_excess,
-    build_overlap,
-    default_n_max,
-)
+from .spectral import SERIES_TOL, SpectralData, aliasing_excess, build_overlap
 
 _EXIT_INPUT = 2
 _EXIT_ORACLE = 3
@@ -202,10 +196,16 @@ def _referee(mode: str, sset: SampleSet, state: FockVector, M) -> np.ndarray:
     if mode == "partial":
         return dense_project(DenseFrame.build(grid, len(state) - 1), state)
     # filtered: project onto the sample span, then apply the in-band gains
-    frame = DenseFrame.build(grid, default_n_max(grid.p, grid.N))
+    frame = DenseFrame.build(grid, M)
     aliases = frame.T.conj().T @ frame.solve_gram(sset.values)
-    gains = 1.0 + aliasing_excess(grid.p, grid.N)
-    return aliases[: M + 1] * gains[: M + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = aliases * (1.0 + aliasing_excess(grid.p, grid.N)[: M + 1])
+    if not np.all(np.isfinite(ref)):
+        raise OracleSizeError(
+            f"the dense filtered reference (aliases times the in-band gains "
+            f"1 + nu_n) leaves double range on the grid N = {grid.N}, p = {grid.p:g}"
+        )
+    return ref
 
 
 def _cmd_reconstruct(args) -> int:
@@ -417,8 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # malformed input, or an oracle size cap

@@ -27,7 +27,7 @@ from scipy.special import pdtr, pdtrc
 from ._validation import check_grid_size, check_order
 from .fock import CoherentPoint, FockVector, PhaseGrid
 from .oracle import DenseFrame, OracleSizeError, measured_error_sq
-from .spectral import build_overlap, critical_radius, default_n_max, log_aliasing_excess
+from .spectral import build_overlap, critical_radius, log_aliasing_excess
 
 __all__ = [
     "truncation_epsilon",
@@ -231,9 +231,8 @@ def assess(
             f"<= {_MEASURE_LEN_CAP}; got N = {grid.N}, length = {len(psi)}"
         )
     if (measure is None and small) or measure is True:
-        n_max = max(default_n_max(grid.p, grid.N), psi.order)
-        frame = DenseFrame.build(grid, min(n_max, 2000))
-        measured = measured_error_sq(frame, psi)
+        # v = T a reads only the state's own columns
+        measured = measured_error_sq(DenseFrame.build(grid, psi.order), psi)
         excess = measured - bound
         # the allowance is never below 1e-9: only a larger excess needs cond(B)
         if psi.tail is None and excess > 1e-9 and excess > _measure_slack(grid):

@@ -38,19 +38,18 @@ def unit_row(N: int, k: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.mod(int(k) * np.arange(N), N) / N)
 
 
-def recover(values: np.ndarray, log_scale: np.ndarray, size: int | None = None) -> np.ndarray:
-    """c_n = exp(log_scale_n) S_{n mod N} for n < size (default
-    len(log_scale)), where S_j = sum_k e^{2 pi i k j / N} Psi_k.
+def recover(values: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """c_n = exp(log_scale_n) S_{n mod N} for n < len(log_scale), where
+    S_j = sum_k e^{2 pi i k j / N} Psi_k.
 
     Both reconstructions are this kernel with their own per-mode scale: one
     inverse FFT along the last axis of `values` (a sample vector or a stack
     of them), then log|S_j| and S_j/|S_j| (`unit_phase`: 0 at S_j = 0, and
     no overflow at a subnormal S_j) once per residue, so a mode costs one
     add, one real exp and one multiply, written period by period into the
-    output.  Modes past the last n with log_scale_n +
-    log max|S| >= _LOG_TINY, and modes n >= len(log_scale) (dead by the
-    caller's bound), are filled with 0 * S_j/|S_j| by periodic broadcast:
-    the signed zeros exp gives.  Overflow is the ValueError, not a warning.
+    output.  Modes past the last n with log_scale_n + log max|S| >=
+    _LOG_TINY are filled with 0 * S_j/|S_j| by periodic broadcast: the
+    signed zeros exp gives.  Overflow is the ValueError, not a warning.
     """
     N = values.shape[-1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -59,7 +58,7 @@ def recover(values: np.ndarray, log_scale: np.ndarray, size: int | None = None) 
         # a NaN or inf in S keeps every column, so the finite check sees it
         live = np.flatnonzero(~(log_scale + np.log(np.max(mag)) < _LOG_TINY))
         K = live[-1] + 1 if live.size else 0
-        out = np.empty(S.shape[:-1] + (size or len(log_scale),), dtype=complex)
+        out = np.empty(S.shape[:-1] + log_scale.shape, dtype=complex)
         R = N if K < out.shape[-1] else min(K, N)  # residues read; a tail reads all
         mag, log_mag = mag[..., :R], np.log(mag[..., :R])
         unit = unit_phase(S[..., :R], mag)
@@ -106,9 +105,9 @@ class _Reconstructor:
 
     Hyperparameters live in __init__ and are listed in `_params`.  Each
     subclass supplies its plan (`_plan`, one SpectralData per public call),
-    its per-mode log scale (`_log_scale`, which may stop where every later
-    mode is dead; see `_recover`) and the log of its off-grid filter c_n
-    (`_log_filter(plan, z)`).  Every route is written here once.
+    its per-mode log scale (`_log_scale`, one entry per recovered mode) and
+    the log of its off-grid filter c_n (`_log_filter(plan, z)`).  Every
+    route is written here once.
     """
 
     _params: tuple[str, ...] = ()
@@ -142,7 +141,7 @@ class _Reconstructor:
         """Store the samples and recover the coefficient vector."""
         plan = self._plan()
         values = grid_samples(X, plan.grid)
-        self.coef_ = self._recover(plan, values)
+        self.coef_ = recover(values, self._log_scale(plan))
         self.samples_ = values
         return self
 
@@ -156,11 +155,7 @@ class _Reconstructor:
     def transform(self, X) -> np.ndarray:
         """Coefficient rows for one sample vector or a stack of them."""
         plan = self._plan()
-        return self._recover(plan, grid_samples(X, plan.grid, stack=True))
-
-    def _recover(self, plan: SpectralData, values: np.ndarray) -> np.ndarray:
-        """`recover` under this estimator's scale, over all n_max + 1 modes."""
-        return recover(values, self._log_scale(plan), plan.n_max + 1)
+        return recover(grid_samples(X, plan.grid, stack=True), self._log_scale(plan))
 
     def predict(self, z):
         """Evaluate the fitted state's wave function at z (scalar or array)."""
@@ -181,7 +176,7 @@ class _Reconstructor:
         ahat_{n+N} sqrt(lam_n) = ahat_n sqrt(lam_{n+N}) holds by construction.
         """
         plan = self._plan()
-        return FockVector(self._recover(plan, grid_samples(X, plan.grid)))
+        return FockVector(recover(grid_samples(X, plan.grid), self._log_scale(plan)))
 
     def _kernel(self, k: int, z):
         """Interpolation kernel: the exact Xi_k(z), with Xi_k(z_l) = delta_kl at

@@ -210,17 +210,3 @@ def dense_eig_check(grid: PhaseGrid) -> float:
     lhat = folded_weight(grid.p, grid.N)
     resid = B @ F - F * lhat[None, :]
     return float(np.max(np.abs(resid)))
-
-
-def intertwining_defect(frame: DenseFrame) -> float:
-    """Max |B T - T diag(lhat_{n mod N})|.
-
-    Frame columns are sliced Fourier eigenvectors of the overlap matrix, so
-    the pairwise-built B must scale column n by the series-built folded
-    weight of its residue class; any excess is numerical noise.
-    """
-    lhat = folded_weight(frame.grid.p, frame.grid.N)
-    j = np.mod(np.arange(frame.n_max + 1), frame.grid.N)
-    lhs = frame.gram() @ frame.T
-    rhs = frame.T * lhat[j][None, :]
-    return float(np.max(np.abs(lhs - rhs)))

@@ -35,39 +35,36 @@ __all__ = ["PartialReconstructor"]
 class PartialReconstructor(_Reconstructor):
     """Project sample data onto the span of N sampled coherent states.
 
+    The recovered aliases are modes 0..n_max, n_max = p + 20 sqrt(p) + 10 N
+    (`default_n_max`, at least 10 N); from `_alias_bound` B on each is an
+    exact zero for any finite samples, and only the modes below B are
+    weighted.
+
     Parameters
     ----------
     N : grid size.
     p : squared circle radius.
-    n_max : alias materialization cutoff (default p + 20 sqrt(p) + 10 N,
-        never below N - 1).
     """
 
-    _params = ("N", "p", "n_max")
+    _params = ("N", "p")
 
-    def __init__(self, N=None, p=None, n_max=None):
+    def __init__(self, N=None, p=None):
         self.N = N
         self.p = p
-        self.n_max = n_max
 
     def _plan(self) -> SpectralData:
-        """Plan of the aliases n = 0..n_max."""
-        plan = SpectralData.build(PhaseGrid(self.N, self.p), self.n_max)
-        if plan.n_max < plan.grid.N - 1:
-            raise ValueError(
-                f"n_max = {plan.n_max} must cover at least one full residue "
-                f"period (N - 1 = {plan.grid.N - 1})"
-            )
-        return plan
+        return SpectralData.build(PhaseGrid(self.N, self.p))
 
     @staticmethod
     def _log_scale(plan: SpectralData) -> np.ndarray:
-        """log(sqrt(lam_n) / (lhat_{n mod N} sqrt(N))) for n below
-        min(B, n_max + 1): from `_alias_bound` B on, every alias is an exact
-        zero for any finite S, and `recover` fills it without a scale."""
+        """log(sqrt(lam_n) / (lhat_{n mod N} sqrt(N))) for n = 0..n_max, with
+        -inf from B = `_alias_bound` on: there every alias is an exact zero
+        for any finite S, and `recover` fills it without a weight."""
         N, p, log_folded = plan.grid.N, plan.grid.p, plan.log_folded
+        out = np.full(plan.n_max + 1, -np.inf)
         n = np.arange(min(_alias_bound(p, N, np.min(log_folded)), plan.n_max + 1))
-        return 0.5 * log_mode_weight(n, p, N) - log_folded[n % N] - 0.5 * math.log(N)
+        out[n] = 0.5 * log_mode_weight(n, p, N) - log_folded[n % N] - 0.5 * math.log(N)
+        return out
 
     @staticmethod
     def _log_filter(plan: SpectralData, z) -> np.ndarray:
@@ -96,11 +93,11 @@ class PartialReconstructor(_Reconstructor):
         log_m, log_n = log_mode_weight(np.array([m, n]), plan.grid.p, plan.grid.N)
         return float(np.exp(0.5 * (log_m + log_n) - plan.log_folded[n % plan.grid.N]))
 
-    def projector_matrix(self, size: int | None = None) -> np.ndarray:
-        """Dense leading block of the projector in the number basis
-        (default n_max + 1 rows); nonzero only where m = n (mod N)."""
+    def projector_matrix(self, size: int) -> np.ndarray:
+        """Dense leading size x size block of the projector in the number
+        basis; nonzero only where m = n (mod N)."""
         plan = self._plan()
-        size = plan.n_max + 1 if size is None else int(size)
+        size = check_order(size, "size")
         if size < 1:
             raise ValueError("size must be >= 1")
         N = plan.grid.N

@@ -219,8 +219,9 @@ def test_criterion_05_alias_matches_dense_projection():
         grid = PhaseGrid(N, p)
         psi = unit_state(rng, L)
         nm = max(L - 1, N - 1, 80)
-        rec = PartialReconstructor(N=N, p=p, n_max=nm)
-        got = rec.alias_coefficients(sample(psi, grid).values).coefficients
+        rec = PartialReconstructor(N=N, p=p)
+        state = rec.alias_coefficients(sample(psi, grid).values)
+        got = state.padded(nm + 1).coefficients[: nm + 1]
         ref = dense_project(DenseFrame.build(grid, nm), psi)
         # absolute floor: residue classes with no stored mode are exact
         # zeros analytically but carry solver noise in the dense route

@@ -25,6 +25,7 @@ from phaseframe import (
     evaluate,
     sample,
 )
+from phaseframe import cli as cli_module
 from phaseframe.cli import main
 from phaseframe.spectral import SpectralData
 
@@ -220,6 +221,20 @@ def test_reconstruct_filtered_matches_exact(tmp_path, capsys):
 
 
 # -- malformed input ----------------------------------------------------------
+
+
+def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
+    # one parser serves every call, so a fresh build is never needed
+    def broken():
+        raise AssertionError("build_parser called after import")
+
+    monkeypatch.setattr(cli_module, "build_parser", broken)
+    for _ in range(2):
+        assert main(["droplet", "--M", "3", "--p-range", "1,2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["M"] == [3]
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error
+        main(["spectrum", "--N", "2"])
+    assert exc.value.code == 2 and "--p" in capsys.readouterr().err
 
 
 def test_reconstruct_rejects_m_in_partial_mode(tmp_path, capsys):
@@ -644,6 +659,20 @@ def test_reconstruct_filtered_oracle_agrees(tmp_path, capsys):
     deviation = json.loads(captured.out)["oracle_deviation"]
     assert 0.0 <= deviation < 1e-10
     assert "oracle max coefficient deviation" in captured.err
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_filtered_oracle_past_double_range_exits_3(tmp_path, capsys, N):
+    # at p = 1000 lam_0 = N e^{-1000} underflows, so 1 + nu_n overflows and
+    # the dense reference is 0 * inf; N = 64 used to stop at the frame cap
+    state = write_state(tmp_path, np.ones(N // 2))
+    with pytest.warns(RuntimeWarning, match="mode weights below"):
+        code = main(["reconstruct", "--mode", "filtered", "--N", str(N), "--p", "1000",
+                     "--state", state, "--oracle", "--format", "json"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "leaves double range on the grid" in captured.err
 
 
 @pytest.mark.filterwarnings("error")

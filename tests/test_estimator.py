@@ -43,12 +43,14 @@ def test_set_params_returns_self_and_rejects_unknown(cls, kwargs):
 
 @pytest.mark.parametrize(
     "cls,keys",
-    [(ExactReconstructor, ("N", "p", "M")), (PartialReconstructor, ("N", "p", "n_max"))],
+    [(ExactReconstructor, ("N", "p", "M")), (PartialReconstructor, ("N", "p"))],
 )
 def test_params_carry_no_series_tolerance(cls, keys):
     # the series stop is a module constant, not an estimator parameter
     est = cls()
     assert tuple(est.get_params()) == keys
+    with pytest.raises(TypeError):
+        cls(n_max=100)
     with pytest.raises(ValueError, match="invalid parameter"):
         est.set_params(series_tol=1e-8)
 

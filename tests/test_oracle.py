@@ -16,7 +16,6 @@ from phaseframe.oracle import (
     dense_eig_check,
     dense_project,
     dense_pseudoinverse_fit,
-    intertwining_defect,
     measured_error_sq,
     quadrature_coefficient,
 )
@@ -52,11 +51,6 @@ def test_frame_factorizes_gram_matrix():
     grid = PhaseGrid(7, 6.0)
     frame = DenseFrame.build(grid, 120)
     assert np.max(np.abs(frame.T @ frame.T.conj().T - frame.gram())) < 1e-13
-
-
-def test_intertwining_identity():
-    frame = DenseFrame.build(PhaseGrid(12, 6.0), 80)
-    assert intertwining_defect(frame) < 1e-12
 
 
 def test_size_caps():

@@ -105,8 +105,8 @@ def test_alias_matches_dense_projection():
         psi = unit_state(rng, L)
         grid = PhaseGrid(N, p)
         n_max = max(L - 1, N - 1, 80)
-        rec = PartialReconstructor(N=N, p=p, n_max=n_max)
-        ahat = rec.alias_coefficients(sample(psi, grid)).coefficients
+        state = PartialReconstructor(N=N, p=p).alias_coefficients(sample(psi, grid))
+        ahat = state.padded(n_max + 1).coefficients[: n_max + 1]
         ref = dense_project(DenseFrame.build(grid, n_max), psi)
         scale = float(np.max(np.abs(ref)))
         assert np.allclose(ahat, ref, rtol=1e-8, atol=1e-12 * scale), (N, p, L)
@@ -154,10 +154,9 @@ def test_projector_elements():
 
 
 def test_projector_matrix_against_dense_oracle():
-    N, p = 4, 2.5
+    N, p, size = 4, 2.5, 76
     rec = PartialReconstructor(N=N, p=p)
-    P = rec.projector_matrix()
-    size = P.shape[0]
+    P = rec.projector_matrix(size)
     frame = DenseFrame.build(PhaseGrid(N, p), size - 1)
     ref = frame.T.conj().T @ np.linalg.solve(frame.gram(), frame.T)
     assert np.max(np.abs(ref.imag)) < 1e-12
@@ -183,9 +182,18 @@ def _dense_projector(rec, size):
     "N,p,size", [(1, 2.0, 40), (3, 5.0, None), (8, 6.0, 100), (5, 80.0, 257)]
 )
 def test_projector_matrix_matches_dense_formula(N, p, size):
+    # None: the size that was the default, default_n_max + 1
+    size = default_n_max(p, N) + 1 if size is None else size
     rec = PartialReconstructor(N=N, p=p)
     P = rec.projector_matrix(size)
-    assert np.array_equal(P, _dense_projector(rec, P.shape[0]))
+    assert P.shape == (size, size)
+    assert np.array_equal(P, _dense_projector(rec, size))
+
+
+@pytest.mark.parametrize("size", [2.7, "3", 0, -1, None])
+def test_projector_matrix_rejects_a_size_that_is_not_a_positive_integer(size):
+    with pytest.raises(ValueError, match="size must be"):
+        PartialReconstructor(N=3, p=5.0).projector_matrix(size)
 
 
 def test_projector_matrix_memory_is_the_output():
@@ -420,8 +428,10 @@ def test_recover_keeps_the_nonfinite_error():
                 ref = _first_recover(values, log_scale)
                 assert _same(_outcome(lambda: recover(values, log_scale)), ref)
             if not np.isfinite(bad):
-                # the first bad mode lies below N, inside any scale's length
-                got = _outcome(lambda: recover(values, log_scale[:N], 5 * N))
+                # the first bad mode lies below N, so a scale that is -inf
+                # from N on (a dead tail, as past the alias bound) agrees
+                dead = np.concatenate([log_scale[:N], np.full(4 * N, -np.inf)])
+                got = _outcome(lambda: recover(values, dead))
                 assert _same(got, ref)
                 with pytest.raises(ValueError, match="samples must contain only finite"):
                     PartialReconstructor(N=N, p=2.0).fit(x)
@@ -523,11 +533,6 @@ def test_projector_element_reads_two_weights():
 
 
 # -- guard rails --------------------------------------------------------------
-
-
-def test_rejects_undersized_materialization():
-    with pytest.raises(ValueError, match="residue period"):
-        PartialReconstructor(N=8, p=4.0, n_max=5).fit(np.zeros(8, dtype=complex))
 
 
 def test_rejects_wrong_sample_length_and_grid():
