@@ -37,7 +37,6 @@ from .oracle import (
     dense_project,
     dense_pseudoinverse_fit,
     quadrature_coefficient,
-    rfm_orthogonality_defect,
 )
 from .partial import PartialReconstructor
 from .spectral import (
@@ -71,7 +70,6 @@ __all__ = [
     "critical_radius",
     "critical_radius_asymptote",
     "build_overlap",
-    "rfm_orthogonality_defect",
     "ExactReconstructor",
     "PartialReconstructor",
     "truncation_epsilon",

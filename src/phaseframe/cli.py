@@ -9,8 +9,9 @@ error-sweep  error budget of one state over a grid family
 droplet      truncation-projector expectation curves P_M(p)
 validate     self-check of the analytic paths against the dense oracle
 
-Exit codes: 0 success, 1 validation failure, 2 malformed input or an
-inconsistent mode/M combination, 3 oracle size cap exceeded.  All output is
+Exit codes: 0 success, 1 validation failure (a check that raises fails), 2
+malformed input or an inconsistent mode/M combination, 3 an oracle size cap
+of `reconstruct --oracle` or `error-sweep --oracle`.  All output is
 deterministic; JSON is one sorted line and CSV numbers carry 17 digits.
 """
 
@@ -34,7 +35,6 @@ from .oracle import (
     dense_eig_check,
     dense_project,
     dense_pseudoinverse_fit,
-    rfm_orthogonality_defect,
 )
 from .partial import PartialReconstructor
 from .spectral import SERIES_TOL, SpectralData, aliasing_excess, build_overlap
@@ -142,18 +142,17 @@ def _parse_eval_mesh(spec: str) -> np.ndarray:
 
 def _cmd_spectrum(args) -> int:
     grid = _build_grid(args.N, args.p)
-    data = SpectralData.build(grid)
-    weights = data.weights[: grid.N]
+    data = SpectralData.build(grid, grid.N - 1)
     payload = {
         "N": grid.N,
         "p": grid.p,
         "series_tol": SERIES_TOL,
         "j": list(range(grid.N)),
-        "lambda": weights.tolist(),
+        "lambda": data.weights.tolist(),
         "lambda_hat": data.folded.tolist(),
         "nu": data.excess.tolist(),
     }
-    table = [("j", range(grid.N)), ("lambda_j", weights),
+    table = [("j", range(grid.N)), ("lambda_j", data.weights),
              ("lambda_hat_j", data.folded), ("nu_j", data.excess)]
     _emit(args, payload, table)
     return 0
@@ -284,58 +283,57 @@ def _cmd_droplet(args) -> int:
     return 0
 
 
+def _unit_vector(rng, length: int) -> np.ndarray:
+    a = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    return a / np.linalg.norm(a)
+
+
 def _cmd_validate(args) -> int:
     grid = _build_grid(args.N, args.p)
-    # the size-capped dense check runs first, so an oversized grid exits
-    # before the other checks build anything of size N x N; the residual is
-    # taken on unit Fourier columns (entries 1/sqrt(N)), so sqrt(N) times it
-    # reads an eigenvalue error d as d
-    eig_defect = dense_eig_check(grid) * math.sqrt(grid.N)
+    N, pts = grid.N, grid.points()
+    # every random input is drawn before any check runs, so a check that
+    # raises changes no other check's input
     rng = np.random.default_rng(args.seed)
-    checks = []
+    a = _unit_vector(rng, N)
+    ks = range(N) if N <= 6 else rng.integers(0, N, 6)
+    a2 = _unit_vector(rng, min(N + 50, 400))
+    samples = sample(FockVector(a), grid)
+    rec = ExactReconstructor(N=N, p=grid.p, M=N - 1)
+    part = PartialReconstructor(N=N, p=grid.p)
 
-    defect = SpectralData.build(grid).weight_sum_defect()
-    checks.append(("weight partition sum", defect <= 1e-10 * grid.N, defect))
+    def measured():  # -1 where assess skips the dense measurement
+        r = assess(FockVector(a2), grid)
+        return (-1.0, 0.0) if r.measured is None else (r.measured, r.bound + 1e-9)
 
-    d = rfm_orthogonality_defect(grid.N, grid.N - 1)
-    checks.append(("root-of-unity orthogonality", d <= 1e-12, d))
-
-    overlap = build_overlap(grid)
-    d = overlap.series_dft_defect()
-    checks.append(("eigenvalue series vs DFT (scale-relative)", d <= 1e-10, d))
-
-    thresh = 1e-9 * float(np.max(overlap.eigenvalues))
-    checks.append(("dense circulant eigencheck", eig_defect <= thresh, eig_defect))
-
-    a = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    a /= np.linalg.norm(a)
-    psi = FockVector(a)
-    samples = sample(psi, grid)
-    rec = ExactReconstructor(N=grid.N, p=grid.p, M=grid.N - 1)
-    got = rec.dft_coefficients(samples.values)
-    d = float(np.max(np.abs(got.coefficients - a)))
-    checks.append(("exact round trip on this grid", d <= 1e-9, d))
-
-    part = PartialReconstructor(N=grid.N, p=grid.p)
-    pts = grid.points()
-    worst = 0.0
-    ks = range(grid.N) if grid.N <= 6 else rng.integers(0, grid.N, 6)
-    for k in ks:
-        vals = part.lagrange_kernel(int(k), pts)
-        worst = max(worst, float(np.max(np.abs(vals - (np.arange(grid.N) == k)))))
-    checks.append(("interpolation kernel delta property", worst <= 1e-9, worst))
-
-    long_len = min(grid.N + 50, 400)
-    a2 = rng.standard_normal(long_len) + 1j * rng.standard_normal(long_len)
-    a2 /= np.linalg.norm(a2)
-    report = assess(FockVector(a2), grid)
-    ok = report.measured is None or report.measured <= report.bound + 1e-9
-    measured = -1.0 if report.measured is None else report.measured
-    checks.append(("measured error within bound", ok, measured))
-
-    for name, ok, value in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.6e}")
-    failed = sum(not ok for _, ok, _ in checks)
+    # each check gives (value, bound) and passes when value <= bound
+    checks = [
+        ("weight partition sum",
+         lambda: (SpectralData.build(grid).weight_sum_defect(), 1e-10 * N)),
+        ("exact kernel route reproduces the samples",
+         lambda: (np.abs(rec.reconstruct(samples, pts) - samples.values).max(), 1e-9)),
+        ("eigenvalue series vs DFT (scale-relative)",
+         lambda: (build_overlap(grid).series_dft_defect(), 1e-10)),
+        # the residual is taken on unit Fourier columns (entries 1/sqrt(N)),
+        # so sqrt(N) times it reads an eigenvalue error d as d
+        ("dense circulant eigencheck", lambda: (
+            dense_eig_check(grid) * math.sqrt(N),
+            1e-9 * np.max(build_overlap(grid).eigenvalues))),
+        ("exact round trip on this grid",
+         lambda: (np.abs(rec.dft_coefficients(samples.values).coefficients - a).max(), 1e-9)),
+        ("interpolation kernel delta property", lambda: (max(
+            np.abs(part.lagrange_kernel(int(k), pts) - (np.arange(N) == k)).max()
+            for k in ks), 1e-9)),
+        ("measured error within bound", measured),
+    ]
+    failed = 0
+    for name, check in checks:
+        try:
+            value, bound = check()
+            ok, text = value <= bound, f"{value:.6e}"
+        except (ValueError, ArithmeticError) as exc:  # a check that raises fails
+            ok, text = False, str(exc)
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {text}")
+        failed += not ok
     if failed:
         print(f"{failed} of {len(checks)} checks failed", file=sys.stderr)
         return 1

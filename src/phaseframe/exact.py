@@ -231,23 +231,11 @@ class ExactReconstructor(_Reconstructor):
     dft_coefficients = _Reconstructor._coefficients
     sinc_kernel = _Reconstructor._kernel
 
-    def range_projector(self) -> np.ndarray:
-        """N x N matrix P_{lk} = Xi_k(z_l) = (1/N) sum_{m<=M} e^{2 pi i (k-l) m/N}.
-
-        Orthogonal projector onto the sample vectors reachable from modes
-        0..M; rank and trace equal M+1.  P is circulant, so its first column
-        (the FFT of the in-band indicator, over N) fills the whole matrix.
-        """
-        plan = self._plan()
-        N, M = plan.grid.N, plan.n_max
-        column = np.fft.fft(np.arange(N) <= M) / N
-        k = np.arange(N)
-        return column[np.mod(k[:, None] - k[None, :], N)]
-
     def resample(self) -> np.ndarray:
-        """Values of the fitted state on the grid (identity when fitted from
-        consistent samples): the circulant P applied as FFT, in-band mask,
-        inverse FFT."""
+        """Values of the fitted state on the grid: the orthogonal projector
+        P_{lk} = Xi_k(z_l) onto the samples reachable from modes 0..M
+        (rank M+1, the identity at M = N-1), applied as inverse FFT, in-band
+        mask, FFT."""
         check_fitted(self, "samples_")
         M = self._plan().n_max
         in_band = np.arange(len(self.samples_)) <= M

@@ -3,7 +3,7 @@
 Everything here recomputes what the analytic modules produce in closed form,
 using nothing but the explicit frame matrix T_{kn} = <z_k|n> and standard
 dense solvers.  The production code is validated against these routes; they
-are deliberately simple and size-capped rather than fast.
+are deliberately simple, and size-capped or row-sampled, rather than fast.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import gammaln
 
 from ._validation import check_grid_size, check_mean_number, check_order
-from .fock import FockVector, PhaseGrid, evaluate
+from .fock import _BLOCK, FockVector, PhaseGrid, cs_overlap, evaluate
 from .spectral import folded_weight, log_mode_weight, overlap_from_points
 
 __all__ = [
@@ -29,43 +29,30 @@ __all__ = [
     "quadrature_coefficient",
     "dense_eig_check",
     "fourier_matrix",
-    "rfm_orthogonality_defect",
 ]
 
 _N_MAX_CAP = 2000
-_EIG_N_CAP = 128
+_EIG_ROWS = 128  # rows of B that dense_eig_check reads: all of them up to this N
 
 
 class OracleSizeError(ValueError):
     """Requested dense computation exceeds the oracle size caps."""
 
 
-def _roots(N: int, count: int) -> np.ndarray:
-    """N x count roots of unity e^{-2 pi i (k n mod N) / N}.
+def _roots(k, N: int, count: int) -> np.ndarray:
+    """Rows k (an index array) of the N x count roots of unity
+    e^{-2 pi i (k n mod N) / N}.
 
     The k*n products are reduced mod N in exact integer arithmetic before
     exponentiation, so columns are orthonormal to machine precision.
     """
-    k = np.arange(N)
     return np.exp(-2j * np.pi * np.mod(np.outer(k, np.arange(count)), N) / N)
 
 
 def fourier_matrix(N) -> np.ndarray:
     """Unitary DFT matrix F_{kn} = e^{-2 pi i k n / N} / sqrt(N)."""
     N = check_grid_size(N)
-    return _roots(N, N) / math.sqrt(N)
-
-
-def rfm_orthogonality_defect(N, M) -> float:
-    """Deviation of the rectangular root-of-unity matrix from mod-N
-    orthogonality: max |sum_k conj(F_kn) F_km - delta_{(n-m) mod N, 0}|."""
-    N = check_grid_size(N)
-    M = check_order(M)
-    cols = _roots(N, M + 1) / math.sqrt(N)
-    gram = cols.conj().T @ cols
-    n = np.arange(M + 1)
-    expected = (np.mod(np.subtract.outer(n, n), N) == 0).astype(float)
-    return float(np.max(np.abs(gram - expected)))
+    return _roots(np.arange(N), N, N) / math.sqrt(N)
 
 
 @dataclass
@@ -87,7 +74,8 @@ class DenseFrame:
             )
         N, p = grid.N, grid.p
         logu = 0.5 * (log_mode_weight(np.arange(n_max + 1), p, N) - math.log(N))
-        return DenseFrame(grid=grid, n_max=n_max, T=_roots(N, n_max + 1) * np.exp(logu)[None, :])
+        T = _roots(np.arange(N), N, n_max + 1) * np.exp(logu)[None, :]
+        return DenseFrame(grid=grid, n_max=n_max, T=T)
 
     def gram(self) -> np.ndarray:
         """Overlap matrix built pairwise from cs_overlap, independent of the
@@ -199,14 +187,20 @@ def quadrature_coefficient(psi: FockVector, n: int, p: float, Q: int) -> complex
 
 
 def dense_eig_check(grid: PhaseGrid) -> float:
-    """Max residual ||B f_j - lhat_j f_j||_inf over all Fourier columns f_j,
-    with B built pairwise from cs_overlap and lhat_j from the series."""
+    """Max residual |(B F - F diag(lhat))_{rn}| over rows r of B and every
+    Fourier column n, F = fourier_matrix(N), with row r of B built pairwise
+    from cs_overlap and lhat from the series.  Row r of B F is the FFT of
+    row r of B over sqrt(N).  Every row is read up to N = 128, and past that
+    the 128 rows r = i N // 128, in blocks of about fock._BLOCK elements: no
+    N x N array is formed at any N, and a row costs O(N log N)."""
     if not isinstance(grid, PhaseGrid):
         raise ValueError("grid must be a PhaseGrid")
-    if grid.N > _EIG_N_CAP:
-        raise OracleSizeError(f"dense eigencheck cap is N <= {_EIG_N_CAP}, got {grid.N}")
-    B = overlap_from_points(grid)
-    F = fourier_matrix(grid.N)
-    lhat = folded_weight(grid.p, grid.N)
-    resid = B @ F - F * lhat[None, :]
-    return float(np.max(np.abs(resid)))
+    N, zs = grid.N, grid.points()
+    lhat = folded_weight(grid.p, N)
+    count = min(N, _EIG_ROWS)
+    step = max(1, _BLOCK // N)
+    blocks = np.split(np.arange(count) * N // count, range(step, count, step))
+    return float(max(
+        np.abs(np.fft.fft(cs_overlap(zs[r, None], zs[None, :])) - _roots(r, N, N) * lhat).max()
+        for r in blocks
+    )) / math.sqrt(N)

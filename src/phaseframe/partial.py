@@ -138,7 +138,7 @@ def _alias_bound(p: float, N: int, log_floor: float) -> int:
     log of every alias |S_j| sqrt(lam_n)/(lhat_j sqrt(N)) at n = B and falls
     with n past p (the log pmf is concave), so every alias from B on is an
     exact zero.  One nat, plus 1e-12 of the magnitudes summed, covers
-    math.lgamma against gammaln.  Found by bisection."""
+    math.lgamma against gammaln.  Found by `_first_dead`."""
     log_p, log_max = math.log(p), math.log(np.finfo(float).max)
 
     def dead(n: int) -> bool:
@@ -146,10 +146,7 @@ def _alias_bound(p: float, N: int, log_floor: float) -> int:
         slack = 1.0 + 1e-12 * (p + n * abs(log_p) + lgam)
         return 0.5 * (n * log_p - p - lgam) - log_floor + log_max + slack < _LOG_TINY
 
-    lo = hi = max(N, math.ceil(p))
-    while not dead(hi):
-        hi *= 2
-    return bisect.bisect_left(range(hi + 1), True, lo, key=dead)
+    return _first_dead(dead, max(N, math.ceil(p)))
 
 
 def _filter_bound(N: int, s: float) -> int:
@@ -167,7 +164,7 @@ def _filter_bound(N: int, s: float) -> int:
     that factor is below u/L; one nat plus 1e-12 of the magnitudes summed
     covers the rounding of math.lgamma.  At fixed A every factor grows with
     s, so the bound for the largest s holds at each point.  Found by
-    bisection."""
+    `_first_dead`."""
     if s == 0.0:
         return N  # only the n = 0 term is nonzero
     log_s = math.log(s)
@@ -181,7 +178,12 @@ def _filter_bound(N: int, s: float) -> int:
         tail = log_g(L) - math.log1p(-s / (L + 1)) - min(log_g(A), log_g(A + N - 1))
         return tail + slack <= _LOG_U - math.log(L)
 
-    lo = hi = max(N, math.ceil(s))
+    return _first_dead(dead, max(N, math.ceil(s)))
+
+
+def _first_dead(dead, lo: int) -> int:
+    """Least n >= lo >= 1 with dead(n), for a dead() that stays true once true."""
+    hi = lo
     while not dead(hi):
         hi *= 2
     return bisect.bisect_left(range(hi + 1), True, lo, key=dead)

@@ -33,12 +33,26 @@ def test_kernel_delta_at_critical_sampling():
             assert np.max(np.abs(vals - expect)) < 1e-12, (N, k)
 
 
+def dense_range_projection(grid, M, v):
+    """P v = T_M lstsq(T_M, v), the dense referee of resample()."""
+    frame = DenseFrame.build(grid, M)
+    return frame.T @ dense_pseudoinverse_fit(frame, M, v)
+
+
+def projector_columns(rec):
+    """P e_k for k = 0..N-1, each through resample()."""
+    eye = np.eye(rec.N, dtype=complex)
+    return np.column_stack([rec.fit(e).resample() for e in eye])
+
+
 def test_kernel_matches_range_projector_when_oversampled():
     rec = ExactReconstructor(N=10, p=6.0, M=6)
-    pts = PhaseGrid(10, 6.0).points()
-    P = rec.range_projector()
+    grid = PhaseGrid(10, 6.0)
     for k in (0, 3, 9):
-        assert np.allclose(rec.sinc_kernel(k, pts), P[:, k], atol=1e-13)
+        e = (np.arange(10) == k).astype(complex)
+        column = rec.fit(e).resample()
+        assert np.allclose(rec.sinc_kernel(k, grid.points()), column, atol=1e-13)
+        assert np.allclose(column, dense_range_projection(grid, 6, e), atol=1e-13)
 
 
 def test_kernel_at_origin_keeps_only_constant_term():
@@ -48,7 +62,8 @@ def test_kernel_at_origin_keeps_only_constant_term():
 
 def test_range_projector_is_orthogonal_projection():
     rec = ExactReconstructor(N=12, p=8.0, M=7)
-    P = rec.range_projector()
+    P = projector_columns(rec)
+    assert np.allclose(P, dense_range_projection(PhaseGrid(12, 8.0), 7, np.eye(12)), atol=1e-13)
     assert np.allclose(P @ P, P, atol=1e-13)
     assert np.allclose(P, P.conj().T, atol=1e-14)
     assert np.trace(P).real == pytest.approx(8.0, abs=1e-12)
@@ -58,7 +73,8 @@ def test_range_projector_is_orthogonal_projection():
 
 def test_range_projector_identity_at_critical_sampling():
     rec = ExactReconstructor(N=6, p=4.0, M=5)
-    assert np.allclose(rec.range_projector(), np.eye(6), atol=1e-13)
+    assert np.allclose(projector_columns(rec), np.eye(6), atol=1e-13)
+    assert np.allclose(dense_range_projection(PhaseGrid(6, 4.0), 5, np.eye(6)), np.eye(6), atol=1e-13)
 
 
 # -- coefficient recovery -----------------------------------------------------
@@ -123,7 +139,7 @@ def test_resample_projects_inconsistent_data():
     N, p, M = 10, 7.0, 4
     noise = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     rec = ExactReconstructor(N=N, p=p, M=M).fit(noise)
-    assert np.allclose(rec.resample(), rec.range_projector() @ noise, atol=1e-13)
+    assert np.allclose(rec.resample(), dense_range_projection(PhaseGrid(N, p), M, noise), atol=1e-13)
     # consistent samples pass through unchanged
     psi = unit_state(rng, M + 1)
     ss = sample(psi, PhaseGrid(N, p))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from phaseframe import (
     FockVector,
     PhaseGrid,
     coherent_amplitude,
+    folded_weight,
     mode_weight,
     sample,
 )
@@ -16,9 +18,11 @@ from phaseframe.oracle import (
     dense_eig_check,
     dense_project,
     dense_pseudoinverse_fit,
+    fourier_matrix,
     measured_error_sq,
     quadrature_coefficient,
 )
+from phaseframe.spectral import overlap_from_points
 
 
 def unit_state(rng, length):
@@ -57,8 +61,6 @@ def test_size_caps():
     grid = PhaseGrid(4, 2.0)
     with pytest.raises(OracleSizeError):
         DenseFrame.build(grid, 2001)
-    with pytest.raises(OracleSizeError):
-        dense_eig_check(PhaseGrid(129, 10.0))
     frame = DenseFrame.build(grid, 10)
     with pytest.raises(OracleSizeError):
         frame.coefficients_of(FockVector(np.ones(12)))
@@ -144,3 +146,27 @@ def test_quadrature_warns_on_aliasing():
 def test_dense_eig_check_is_tiny_on_clean_grids():
     assert dense_eig_check(PhaseGrid(16, 10.0)) < 1e-12
     assert dense_eig_check(PhaseGrid(64, 50.0)) < 1e-11
+
+
+@pytest.mark.parametrize("N,p", [(1, 3.0), (2, 0.1), (7, 6.0), (40, 0.5), (64, 40.0), (128, 64.0)])
+def test_dense_eig_check_matches_the_dense_residual(N, p):
+    # up to N = 128 every row of B is read, so the FFT rows agree with the
+    # dense max |B F - F diag(lhat)| to rounding
+    grid = PhaseGrid(N, p)
+    lhat = folded_weight(p, N)
+    F = fourier_matrix(N)
+    dense = np.max(np.abs(overlap_from_points(grid) @ F - F * lhat[None, :]))
+    assert abs(dense_eig_check(grid) - dense) <= 1e-14 * np.max(lhat)
+
+
+def test_dense_eig_check_reads_sampled_rows_without_an_n_by_n_array():
+    grid = PhaseGrid(16384, 8192.0)
+    tracemalloc.start()
+    try:
+        defect = dense_eig_check(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one N x N complex matrix is 4.3 GB here
+    assert peak < 4_000_000
+    assert defect * math.sqrt(grid.N) <= 1e-9 * np.max(folded_weight(grid.p, grid.N))
