@@ -310,7 +310,8 @@ def _cmd_validate(args) -> int:
         ("weight partition sum",
          lambda: (SpectralData.build(grid).weight_sum_defect(), 1e-10 * N)),
         ("exact kernel route reproduces the samples",
-         lambda: (np.abs(rec.reconstruct(samples, pts) - samples.values).max(), 1e-9)),
+         lambda: (np.abs(rec.reconstruct(samples, pts) - samples.values).max(),
+                  1e-9 * np.abs(samples.values).max())),
         ("eigenvalue series vs DFT (scale-relative)",
          lambda: (build_overlap(grid).series_dft_defect(), 1e-10)),
         # the residual is taken on unit Fourier columns (entries 1/sqrt(N)),

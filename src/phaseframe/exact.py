@@ -189,7 +189,7 @@ class _Reconstructor:
     def _series(self, plan: SpectralData, z, W: np.ndarray):
         """(1/N) e^{(p-|z|^2)/2} sum_n c_n w0^n W_{n mod N}, w0 = conj(z)/sqrt(p)."""
         N, p, log_c = plan.grid.N, plan.grid.p, self._log_filter(plan, z)
-        W = W[np.mod(np.arange(len(log_c)), N)]
+        W = np.resize(W, len(log_c))  # periodic: W_{n mod N}
         return series_at(z, log_c, W, 1.0 / math.sqrt(p), 0.5 * p - math.log(N))
 
 

@@ -334,8 +334,9 @@ def evaluate(psi: FockVector, z):
     """
     if not isinstance(psi, FockVector):
         psi = FockVector(psi)
-    log_c = -0.5 * gammaln(np.arange(len(psi)) + 1.0)
-    return series_at(z, log_c, psi.coefficients)
+    nonzero = np.flatnonzero(psi.coefficients)  # series_at stops there too
+    K = nonzero[-1] + 1 if nonzero.size else 0
+    return series_at(z, -0.5 * gammaln(np.arange(K) + 1.0), psi.coefficients)
 
 
 # exp(x) rounds to exactly 0 below this: it is under half the smallest
@@ -359,11 +360,11 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
     u max|t|, inside the rounding of the sum itself.  A point with no
     nonzero term has an empty window and gives an exact 0.  Each term is one
     exp of log|t_n| - max log|t| + i arg t_n, so no |z| overflows, and the
-    shift is folded back by scale_by_exp.  Windows are found on blocks of at
-    most _BLOCK points x modes.  The windows of consecutive points are then
-    gathered into flat runs of at most _BLOCK terms (or one window, if
-    wider), so no padding is summed.  O(points x K) real work and one
-    complex exp per windowed term.  A NaN or infinite z is a ValueError.
+    shift is folded back by scale_by_exp.  Windows are found and summed in
+    one masked pass over blocks of at most _BLOCK points x modes (one point
+    per block if K is larger), cut to the columns some window of the block
+    reaches.  O(points x K) real work and one complex exp per windowed term.
+    A NaN or infinite z is a ValueError.
     """
     zs = as_finite_points(z)
     w0 = scale * zs.conjugate().ravel()
@@ -372,58 +373,36 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
     K = nonzero[-1] + 1 if nonzero.size else 0
     out = np.zeros(w0.shape, dtype=complex)
     if K:
+        n = np.arange(K)
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(w0))
             log_t = log_c[:K] + np.log(np.abs(weights[:K]))  # log|c_n weights_n|
         arg_t = np.arctan2(weights[:K].imag, weights[:K].real)
-        first, width, top = _windows(log_abs, log_t)
-        log_abs[w0 == 0] = 0.0  # the window there is {0} or empty
         theta = np.arctan2(w0.imag, w0.real)
-        rows = np.flatnonzero(width)  # an empty window leaves an exact 0
-        ends = np.cumsum(width[rows])
-        lo = 0
-        while lo < rows.size:
-            # whole windows, at most _BLOCK terms unless one window is wider
-            hi = max(lo + 1, np.searchsorted(ends, ends[lo] - width[rows[lo]] + _BLOCK, "right"))
-            r, lo = rows[lo:hi], hi
-            # one flat run of every window: the k-th window of the run starts
-            # at start[k], and each term has its point and its mode n
-            i = np.repeat(np.arange(r.size), width[r])
-            start = np.cumsum(width[r]) - width[r]
-            n = np.arange(i.size) + (first[r] - start)[i]
-            point = r[i]
-            terms = np.empty(n.size, dtype=complex)
-            terms.real = log_t[n] + n * log_abs[point] - top[point]
-            terms.imag = n * theta[point] + arg_t[n]
-            sums = np.add.reduceat(np.exp(terms, out=terms), start)
-            out[r] = scale_by_exp(sums, log_pref[r] + top[r])
+        rows = max(1, _BLOCK // K)
+        for lo in range(0, w0.size, rows):
+            b = slice(lo, lo + rows)
+            with np.errstate(invalid="ignore"):
+                x = np.multiply.outer(log_abs[b], n)
+            x[:, 0] = 0.0  # w0^0 = 1, also at w0 = 0
+            x += log_t
+            top = x.max(axis=1)
+            keep = x >= (top + (_LOG_U - math.log(K)))[:, None]
+            first = keep.argmax(axis=1)
+            # no nonzero term: empty; a NaN keeps nothing, so its window is all
+            # K modes and the NaN reaches the output
+            end = np.where(top == -np.inf, first, K - keep[:, ::-1].argmax(axis=1))
+            cols = slice(first.min(), end.max())
+            window = (n[cols] >= first[:, None]) & (n[cols] < end[:, None])
+            terms = np.empty(window.shape, dtype=complex)
+            np.subtract(x[:, cols], top[:, None], out=terms.real, where=window)
+            terms.imag = np.multiply.outer(theta[b], n[cols]) + arg_t[cols]
+            np.exp(terms, out=terms, where=window)
+            sums = np.add.reduce(terms, axis=1, where=window)
+            out[b] = scale_by_exp(sums, log_pref[b] + top)
     if zs.ndim == 0:
         return complex(out[0])
     return out.reshape(zs.shape)
-
-
-def _windows(log_abs: np.ndarray, log_t: np.ndarray):
-    """First mode, width and largest log|t_n| of each point's window in
-    series_at, from log|w0| per point and log|c_n weights_n| per mode."""
-    K = log_t.size
-    n = np.arange(K)
-    first = np.empty(log_abs.size, dtype=np.intp)
-    width, top = np.empty_like(first), np.empty(log_abs.size)
-    rows = max(1, _BLOCK // K)
-    for lo in range(0, log_abs.size, rows):
-        block = slice(lo, lo + rows)
-        with np.errstate(invalid="ignore"):
-            x = np.multiply.outer(log_abs[block], n)
-        x[:, 0] = 0.0  # w0^0 = 1, also at w0 = 0
-        x += log_t
-        top[block] = x.max(axis=1)
-        keep = x >= (top[block] + (_LOG_U - math.log(K)))[:, None]
-        first[block] = keep.argmax(axis=1)
-        # no nonzero term: empty; a NaN keeps nothing, so its window is all
-        # K modes and the NaN reaches the output
-        end = K - keep[:, ::-1].argmax(axis=1)
-        width[block] = np.where(top[block] == -np.inf, 0, end - first[block])
-    return first, width, top
 
 
 def sample(psi: FockVector, grid: PhaseGrid) -> SampleSet:

@@ -457,6 +457,20 @@ def test_validate_runs_past_the_old_dense_cap(capsys):
         assert status[check] == "PASS", check
 
 
+def test_validate_kernel_route_tolerance_follows_the_samples(capsys, monkeypatch):
+    # max|samples| is 1.9e-47 at N = 129, p = 512, so an absolute 1e-9 passes
+    # any error; an error of 1e-6 max|samples| must fail the line
+    exact = ExactReconstructor.reconstruct
+
+    def off(self, X, z):
+        return exact(self, X, z) + 1e-6 * np.abs(X.values).max()
+
+    monkeypatch.setattr(ExactReconstructor, "reconstruct", off)
+    assert main(["validate", "--N", "129", "--p", "512"]) == 1
+    status = _status(capsys.readouterr().out.strip().splitlines())
+    assert status["exact kernel route reproduces the samples"] == "FAIL"
+
+
 # -- top level ----------------------------------------------------------------
 
 

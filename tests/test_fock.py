@@ -17,6 +17,7 @@ from phaseframe import (
     evaluate,
     sample,
 )
+from phaseframe import fock
 from phaseframe.fock import scale_by_exp
 
 
@@ -266,6 +267,19 @@ def test_evaluate_coherent_state_matches_overlap():
     for z in (0.0, 0.5, 1.0 - 2.0j):
         # Psi(z) = <z|zeta>
         assert evaluate(psi, z) == pytest.approx(cs_overlap(z, zeta), abs=1e-13)
+    # |zeta|^2 = 4500: the coefficients underflow to 0 past mode 8622, which
+    # is past _BLOCK / 2, so each block of the series holds one point (at
+    # |zeta|^2 = 4000 they stop at mode 7912, two points per block)
+    zeta = math.sqrt(4500) * np.exp(0.7j)
+    psi = FockVector.from_coherent(zeta, 9000)
+    K = np.flatnonzero(psi.coefficients)[-1] + 1
+    assert fock._BLOCK // K == 1
+    z = zeta * np.array([0, 1, 1.01, np.exp(0.05j)])
+    # the rounding model c K u sum|t| of tests/test_offgrid.py, with
+    # sum|t| <= 1 for a coherent state
+    c = math.log(K) + math.log(4500) + math.pi + 2
+    u = np.finfo(float).eps / 2
+    assert np.abs(evaluate(psi, z) - cs_overlap(z, zeta)).max() <= c * K * u
 
 
 def test_evaluate_array_input():
