@@ -50,12 +50,13 @@ def _cell(x) -> str:
 def _emit(args, payload: dict, *tables) -> None:
     """Write a command's result in args.format to args.out (default stdout).
 
-    JSON is `payload` on one sorted line (no indent, so json's C encoder).
+    JSON is `payload` on one sorted line (no indent, so json's C encoder); a
+    NaN or infinite value in it is a ValueError, so no file is written.
     CSV is `tables`, (name, column) pair lists joined by one blank line;
     integers print as they are, floats with 17 digits so they round-trip.
     """
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True)
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
     else:
         blocks = []
         for table in tables:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import pdtr, pdtrc
 
 from ._validation import check_grid_size, check_order
-from .fock import CoherentPoint, FockVector, PhaseGrid
+from .fock import FockVector, PhaseGrid, _as_z
 from .oracle import DenseFrame, OracleSizeError, measured_error_sq
 from .spectral import build_overlap, critical_radius, log_aliasing_excess
 
@@ -116,8 +116,7 @@ def coherent_epsilon(p=None, N=None, *, zeta=None):
     if zeta is not None:
         if p is not None:
             raise ValueError("pass either p or zeta, not both")
-        z = zeta.z if isinstance(zeta, CoherentPoint) else complex(zeta)
-        p = abs(z) ** 2
+        p = abs(_as_z(zeta)) ** 2
     if p is None:
         raise ValueError("missing mean number p (or zeta)")
     N = check_grid_size(N)

@@ -35,7 +35,6 @@ __all__ = [
     "PhaseGrid",
     "SampleSet",
     "coherent_amplitude",
-    "log_amplitude_parts",
     "cs_overlap",
     "evaluate",
     "sample",
@@ -163,9 +162,7 @@ class FockVector:
         zeta = _as_z(zeta)
         if length < 1:
             raise ValueError("length must be >= 1")
-        n = np.arange(length)
-        logmag, phase = log_amplitude_parts(n, zeta)
-        return FockVector(np.exp(logmag) * np.exp(1j * phase))
+        return FockVector(coherent_amplitude(np.arange(length), zeta))
 
     def to_json(self) -> dict:
         tail = None
@@ -177,11 +174,7 @@ class FockVector:
     def from_json(data: dict) -> "FockVector":
         if not isinstance(data, dict) or "coefficients" not in data:
             raise ValueError("state JSON must contain a 'coefficients' field")
-        pairs = data["coefficients"]
-        try:
-            coeff = np.array([complex(re, im) for re, im in pairs])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed coefficient list: {exc}") from exc
+        coeff = _from_pairs(data["coefficients"], "coefficient list")
         tail = data.get("tail")
         profile = None
         if tail is not None:
@@ -248,11 +241,7 @@ class SampleSet:
         if not isinstance(data, dict) or "grid" not in data or "values" not in data:
             raise ValueError("sample JSON must contain 'grid' and 'values'")
         grid = PhaseGrid.from_json(data["grid"])
-        try:
-            values = np.array([complex(re, im) for re, im in data["values"]])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed sample values: {exc}") from exc
-        return SampleSet(grid, values)
+        return SampleSet(grid, _from_pairs(data["values"], "sample values"))
 
 
 def _pairs(values) -> list:
@@ -260,29 +249,17 @@ def _pairs(values) -> list:
     return np.column_stack([values.real, values.imag]).tolist()
 
 
+def _from_pairs(pairs, what: str) -> np.ndarray:
+    """The complex array of a JSON [re, im] pair list, one complex() each."""
+    try:
+        return np.array([complex(re, im) for re, im in pairs])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
+
+
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def log_amplitude_parts(n, z):
-    """Log-magnitude and phase of U_n(z) = e^{-|z|^2/2} z^n / sqrt(n!).
-
-    Returns (logmag, phase) as float arrays shaped like n.  Works for any
-    n >= 0 and any finite z without forming factorials or powers directly.
-    """
-    n = np.asarray(n)
-    if np.any(n < 0):
-        raise ValueError("mode index n must be >= 0")
-    nf = n.astype(float)
-    z = _as_z(z)
-    az = abs(z)
-    if az == 0.0:
-        logmag = np.where(n == 0, 0.0, -np.inf)
-        return logmag, np.zeros_like(nf)
-    logmag = -0.5 * az * az + nf * math.log(az) - 0.5 * gammaln(nf + 1.0)
-    phase = nf * cmath.phase(z)
-    return logmag, phase
 
 
 def _log_poisson(m, p: float, offset: float = 0.0):
@@ -291,8 +268,20 @@ def _log_poisson(m, p: float, offset: float = 0.0):
 
 
 def coherent_amplitude(n, z) -> complex:
-    """Overlap <n|z> = e^{-|z|^2/2} z^n / sqrt(n!); |result| <= 1 always."""
-    logmag, phase = log_amplitude_parts(n, z)
+    """Overlap <n|z> = e^{-|z|^2/2} z^n / sqrt(n!) for n >= 0, a scalar or an
+    array; |result| <= 1, and no factorial or power of z is formed."""
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError("mode index n must be >= 0")
+    nf = n.astype(float)
+    z = _as_z(z)
+    az = abs(z)
+    if az == 0.0:
+        logmag = np.where(n == 0, 0.0, -np.inf)
+        phase = np.zeros_like(nf)
+    else:
+        logmag = -0.5 * az * az + nf * math.log(az) - 0.5 * gammaln(nf + 1.0)
+        phase = nf * cmath.phase(z)
     out = np.exp(logmag) * np.exp(1j * phase)
     if np.ndim(n) == 0:
         return complex(out)
@@ -388,10 +377,11 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
             x += log_t
             top = x.max(axis=1)
             keep = x >= (top + (_LOG_U - math.log(K)))[:, None]
-            first = keep.argmax(axis=1)
-            # no nonzero term: empty; a NaN keeps nothing, so its window is all
-            # K modes and the NaN reaches the output
-            end = np.where(top == -np.inf, first, K - keep[:, ::-1].argmax(axis=1))
+            # no nonzero term: an empty window that adds no column; a NaN keeps
+            # nothing, so its window is all K modes and the NaN reaches the output
+            empty = top == -np.inf
+            first = np.where(empty, K, keep.argmax(axis=1))
+            end = np.where(empty, 0, K - keep[:, ::-1].argmax(axis=1))
             cols = slice(first.min(), end.max())
             window = (n[cols] >= first[:, None]) & (n[cols] < end[:, None])
             terms = np.empty(window.shape, dtype=complex)

@@ -89,9 +89,7 @@ class DenseFrame:
             raise OracleSizeError(
                 f"state length {len(psi)} exceeds frame n_max + 1 = {self.n_max + 1}"
             )
-        a = np.zeros(self.n_max + 1, dtype=complex)
-        a[: len(psi)] = psi.coefficients
-        return a
+        return psi.padded(self.n_max + 1).coefficients
 
     def solve_gram(self, v: np.ndarray) -> np.ndarray:
         """B^{-1} v by Cholesky, falling back to eigenbasis division with

@@ -96,6 +96,18 @@ def test_spectrum_csv_matches_json_bit_for_bit(capsys, tmp_path):
     assert float(row3[3]) == payload["nu"][3]
 
 
+def test_spectrum_json_rejects_non_finite_values(tmp_path, capsys):
+    # nu_0 overflows at N=1, p=1024: JSON has no inf, so the command fails
+    # loudly and writes nothing (CSV still prints inf)
+    out = tmp_path / "spec.json"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["spectrum", "--N", "1", "--p", "1024", "--format", "json",
+                     "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "error: Out of range float values are not JSON compliant" in capsys.readouterr().err
+
+
 def test_spectrum_has_no_tolerance_option(capsys):
     # both series always run to double-precision convergence
     with pytest.raises(SystemExit) as exc:

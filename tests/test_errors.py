@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 from phaseframe import (
+    CoherentPoint,
     ErrorReport,
     FockVector,
     PhaseGrid,
@@ -221,6 +222,7 @@ def test_coherent_epsilon_accepts_label():
     assert coherent_epsilon(zeta=z, N=12) == pytest.approx(
         coherent_epsilon(9.0, 12), rel=1e-10
     )
+    assert coherent_epsilon(zeta=CoherentPoint(z), N=12) == coherent_epsilon(zeta=z, N=12)
     with pytest.raises(ValueError):
         coherent_epsilon(4.0, 12, zeta=z)
     with pytest.raises(ValueError):

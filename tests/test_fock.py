@@ -210,7 +210,10 @@ def test_coherent_coefficient_helper():
     zeta = 0.8 + 0.5j
     psi = FockVector.from_coherent(zeta, 50)
     n = np.arange(50)
-    assert np.allclose(psi.coefficients, coherent_amplitude(n, zeta), rtol=1e-13)
+    # the coefficients are the amplitudes U_n(zeta), from the same formula
+    for z in (zeta, 0.0, CoherentPoint(2.0 - 1.0j)):
+        coeff = FockVector.from_coherent(z, 50).coefficients
+        assert np.array_equal(coeff, coherent_amplitude(n, z))
     # nearly normalized once the tail is negligible
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -364,7 +367,7 @@ def test_json_pairs_are_builtin_floats_and_keep_signed_zeros():
 def test_state_json_rejects_malformed():
     with pytest.raises(ValueError):
         FockVector.from_json({"tail": None})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="malformed coefficient list"):
         FockVector.from_json({"coefficients": [[1.0]]})
     with pytest.raises(ValueError):
         FockVector.from_json({"coefficients": [[0.0, 0.0]], "tail": {"C": 1.0}})
@@ -379,7 +382,7 @@ def test_grid_and_samples_json_round_trip():
     assert np.array_equal(back.values, ss.values)
     with pytest.raises(ValueError):
         PhaseGrid.from_json({"N": 3})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="malformed sample values"):
         SampleSet.from_json({"grid": grid.to_json(), "values": [[1.0]]})
 
 

@@ -71,6 +71,19 @@ def test_origin_keeps_only_the_first_term():
     assert evaluate(psi, 0.0) == pytest.approx(0.6, rel=1e-15)
     assert np.allclose(evaluate(psi, np.zeros(4)), 0.6, rtol=1e-15)
     assert evaluate(FockVector([0.0, 0.0]), 1.5 + 2j) == 0
+    # a_0 = 0 at the origin: every window of the block is empty, so the block
+    # sums no column and gives exact zeros
+    assert evaluate(FockVector([0.0, 1.0]), 0.0) == 0
+    assert np.array_equal(evaluate(FockVector([0.0, 1.0]), np.zeros(3)), np.zeros(3))
+
+
+def test_window_ends_at_the_last_kept_mode():
+    # the two kept terms cancel to about 1e-16, so a third term under
+    # (u/K) max|t| would show if it were summed.  The head side cannot be
+    # pinned this way: a term before the window is added ahead of the large
+    # terms and is absorbed by them.
+    psi = FockVector([1.0, -1.0, 1e-20])
+    assert evaluate(psi, 1.0) == evaluate(FockVector([1.0, -1.0]), 1.0)
 
 
 def test_far_points_stay_finite():
