@@ -4,9 +4,11 @@ The squared relative reconstruction error of the N-sample projection obeys
 
     E^2 <= nu_0/(1+nu_0) + 2 eps sqrt(1-eps^2) + eps^2 (2+nu_0)/(1+nu_0),
 
-where eps = eps_N(psi) is the relative coefficient mass beyond mode N-1.  For
-p below the critical radius p0(N) the nu_0 terms are O(N^{-N}) and the bound
-collapses to 2 eps sqrt(1-eps^2) + 2 eps^2.  The filtered variant obeys
+where eps = eps_N(psi) is the relative coefficient mass beyond mode N-1.  The
+bound reads the aliasing excess of residue class 0 alone, so nu_0 is folded
+as one column of the excess series, not as all N.  For p below the critical
+radius p0(N) the nu_0 terms are O(N^{-N}) and the bound collapses to
+2 eps sqrt(1-eps^2) + 2 eps^2.  The filtered variant obeys
 E^2 <= eps^2 (1 + (1+nu_0)^2).
 
 The droplet P_M(p) = e^{-p} sum_{m<=M} p^m/m! is the coherent expectation of
@@ -27,7 +29,7 @@ from scipy.special import pdtr, pdtrc
 from ._validation import check_grid_size, check_order
 from .fock import FockVector, PhaseGrid, _as_z
 from .oracle import DenseFrame, OracleSizeError, measured_error_sq
-from .spectral import build_overlap, critical_radius, log_aliasing_excess
+from .spectral import _log_excess, build_overlap, critical_radius
 
 __all__ = [
     "truncation_epsilon",
@@ -126,7 +128,7 @@ def coherent_epsilon(p=None, N=None, *, zeta=None):
 def _resolve_nu0(p, N, nu0) -> tuple[float, float | None]:
     """The grid's (nu0, log nu0), nu0 = inf past double range, or (nu0, None)."""
     if nu0 is None:
-        log_nu0 = float(log_aliasing_excess(p, N)[0])
+        log_nu0 = float(_log_excess(p, N, 1)[0])
         with np.errstate(over="ignore"):
             return float(np.exp(log_nu0)), log_nu0
     nu0 = float(nu0)

@@ -353,7 +353,8 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
     one masked pass over blocks of at most _BLOCK points x modes (one point
     per block if K is larger), cut to the columns some window of the block
     reaches.  O(points x K) real work and one complex exp per windowed term.
-    A NaN or infinite z is a ValueError.
+    A NaN or infinite z is a ValueError, and so is a value past double range,
+    named by its point's |z| and its log10.
     """
     zs = as_finite_points(z)
     w0 = scale * zs.conjugate().ravel()
@@ -389,7 +390,16 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
             terms.imag = np.multiply.outer(theta[b], n[cols]) + arg_t[cols]
             np.exp(terms, out=terms, where=window)
             sums = np.add.reduce(terms, axis=1, where=window)
-            out[b] = scale_by_exp(sums, log_pref[b] + top)
+            with np.errstate(over="ignore"):
+                out[b] = scale_by_exp(sums, log_pref[b] + top)
+            over = np.flatnonzero(np.isinf(out[b]))
+            if over.size:
+                i = over[0]
+                log10 = (math.log(abs(sums[i])) + log_pref[b][i] + top[i]) / math.log(10.0)
+                raise ValueError(
+                    f"series value at |z| = {abs(zs.ravel()[lo + i]):.6g} is "
+                    f"10^{log10:.1f}, past double range"
+                )
     if zs.ndim == 0:
         return complex(out[0])
     return out.reshape(zs.shape)

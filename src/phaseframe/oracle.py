@@ -4,6 +4,8 @@ Everything here recomputes what the analytic modules produce in closed form,
 using nothing but the explicit frame matrix T_{kn} = <z_k|n> and standard
 dense solvers.  The production code is validated against these routes; they
 are deliberately simple, and size-capped or row-sampled, rather than fast.
+scipy.linalg (LAPACK) is imported only when a dense Gram solve runs, so
+importing phaseframe does not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import gammaln
 
 from ._validation import check_grid_size, check_mean_number, check_order
@@ -94,6 +95,8 @@ class DenseFrame:
     def solve_gram(self, v: np.ndarray) -> np.ndarray:
         """B^{-1} v by Cholesky, falling back to eigenbasis division with
         eigenvalue clipping when the factorization breaks down."""
+        from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
         B = self.gram()
         try:
             return cho_solve(cho_factor(B), v)
@@ -184,6 +187,14 @@ def quadrature_coefficient(psi: FockVector, n: int, p: float, Q: int) -> complex
     return np.exp(log_pref + math.log(abs(s))) * (s / abs(s))
 
 
+def _sampled_rows(N: int) -> np.ndarray:
+    """The indices r = i N // 128, i < 128, of a grid of N points past
+    N = 128, and every index up to it: the rows dense_eig_check reads and
+    the points at which `phaseframe validate` checks the kernels."""
+    count = min(N, _EIG_ROWS)
+    return np.arange(count) * N // count
+
+
 def dense_eig_check(grid: PhaseGrid) -> float:
     """Max residual |(B F - F diag(lhat))_{rn}| over rows r of B and every
     Fourier column n, F = fourier_matrix(N), with row r of B built pairwise
@@ -195,9 +206,9 @@ def dense_eig_check(grid: PhaseGrid) -> float:
         raise ValueError("grid must be a PhaseGrid")
     N, zs = grid.N, grid.points()
     lhat = folded_weight(grid.p, N)
-    count = min(N, _EIG_ROWS)
+    rows = _sampled_rows(N)
     step = max(1, _BLOCK // N)
-    blocks = np.split(np.arange(count) * N // count, range(step, count, step))
+    blocks = np.split(rows, range(step, len(rows), step))
     return float(max(
         np.abs(np.fft.fft(cs_overlap(zs[r, None], zs[None, :])) - _roots(r, N, N) * lhat).max()
         for r in blocks

@@ -14,18 +14,21 @@ The relative excess nu_n = (lhat_n - lam_n)/lam_n = sum_{u >= 1} n! p^{uN} /
 (n + uN)! measures how much aliased weight a residue class carries and
 controls the reconstruction error.
 
-Both series run through one log-space routine, _log_fold, on (rows x N)
-blocks of the terms at m = j + qN with a running logaddexp down q.  Rows
-whose every m is at most p - 40 sqrt(p) - N are skipped: the Poisson pmf is
-log-concave and rises up to p, so each such term is below e^{-799} of its
-column's term in (p - N, p] and changes neither sum.  The sum stops at the
-first row q with q N > p whose new terms are all at most SERIES_TOL = 1e-16
-times the running sums: such a term is below the unit roundoff 2^-53 of its
-sum, so both series converge to double precision.  The first block ends one
-row past the predicted stop (p + (sqrt(2 |log SERIES_TOL|) + 4) sqrt(p)) / N,
-the row that column 0 needs when lam_0 is below lam_N.  Blocks have
-max(1, _BLOCK // 4N) rows, so their live temporaries hold about fock._BLOCK
-elements.  Cost: O(sqrt(p) + N) terms.
+Both series run through one log-space routine, _log_fold, on (rows x c)
+blocks of the terms at m = j + qN with a running logaddexp down q, for the c
+leading columns j < c that the caller reads: c = N for a whole series, and
+c = 1 for nu_0, the only excess the error bound reads.  Rows whose every m
+is at most p - 40 sqrt(p) - N are skipped: the Poisson pmf is log-concave
+and rises up to p, so each such term is below e^{-799} of its column's term
+in (p - N, p] and changes neither sum.  The sum stops at the first row q
+with q N > p whose new terms in those c columns are all at most SERIES_TOL =
+1e-16 times the running sums: such a term is below the unit roundoff 2^-53
+of its sum, so the series converge to double precision.  The first block
+ends one row past the predicted stop (p + (sqrt(2 |log SERIES_TOL|) + 4)
+sqrt(p)) / N, the row that column 0 needs when lam_0 is below lam_N.  Blocks
+have max(1, _BLOCK // 4c) rows, so their live temporaries hold about
+fock._BLOCK elements.  Cost: O(sqrt(p)/N + 1) rows of c terms, so
+O(sqrt(p) + N) terms for a whole series.
 """
 
 from __future__ import annotations
@@ -82,19 +85,23 @@ def mode_weight(m, p, N):
     return float(out) if np.ndim(m) == 0 else out
 
 
-def _log_fold(p: float, N: int, start: int, term) -> tuple[np.ndarray, int]:
-    """(log sum_{q >= start} exp(term(m, qN)) per column j, q*) with m = j + qN,
-    summed up to the stop row q*: head bound, stop rule and block sizes are
-    in the module docstring; each extension doubles the rows summed so far."""
+def _log_fold(
+    p: float, N: int, start: int, term, cols: int | None = None
+) -> tuple[np.ndarray, int]:
+    """(log sum_{q >= start} exp(term(m, qN)) per column j < cols, q*) with
+    m = j + qN and cols = N by default, summed up to the stop row q* of those
+    columns: head bound, stop rule and block sizes are in the module
+    docstring; each extension doubles the rows summed so far."""
     if p > 2.0**52:  # the indices m near p must be exact doubles
         raise ValueError(f"mean number p = {p:g} is beyond 2^52, too large to fold")
+    cols = N if cols is None else cols
     log_tol = math.log(SERIES_TOL)
     root = math.sqrt(p)
     first = max(start, math.floor((p - 40.0 * root) / N) - 1)
     hi = max(first, math.ceil((p + (math.sqrt(-2.0 * log_tol) + 4.0) * root) / N)) + 2
-    rows = max(1, _BLOCK // (4 * N))  # four block-sized temporaries live at once
-    j = np.arange(N, dtype=float)
-    run, lo = np.full(N, -np.inf), first
+    rows = max(1, _BLOCK // (4 * cols))  # four block-sized temporaries live at once
+    j = np.arange(cols, dtype=float)
+    run, lo = np.full(cols, -np.inf), first
     for _ in itertools.count():
         qN = np.arange(lo, min(hi, lo + rows), dtype=float)[:, None] * N
         terms = term(qN + j, qN)
@@ -124,6 +131,17 @@ def folded_weight(p, N) -> np.ndarray:
     return np.exp(log_folded_weight(p, N))
 
 
+def _log_excess(p, N, cols: int | None = None) -> np.ndarray:
+    """log(nu_n) for n = 0..cols-1 (cols = N by default), folded to the stop
+    row of those columns alone."""
+    p = check_mean_number(p)
+    N = check_grid_size(N)
+    cols = N if cols is None else cols
+    log_p = math.log(p)
+    base = gammaln(np.arange(cols) + 1.0)
+    return _log_fold(p, N, 1, lambda m, qN: base - gammaln(m + 1.0) + qN * log_p, cols)[0]
+
+
 def log_aliasing_excess(p, N) -> np.ndarray:
     """log(nu_n) for n = 0..N-1, finite even where nu underflows double range.
 
@@ -132,11 +150,7 @@ def log_aliasing_excess(p, N) -> np.ndarray:
     are all below the unit roundoff of the running sums); O(sqrt(p) + N)
     terms.
     """
-    p = check_mean_number(p)
-    N = check_grid_size(N)
-    log_p = math.log(p)
-    base = gammaln(np.arange(N) + 1.0)
-    return _log_fold(p, N, 1, lambda m, qN: base - gammaln(m + 1.0) + qN * log_p)[0]
+    return _log_excess(p, N)
 
 
 def aliasing_excess(p, N) -> np.ndarray:

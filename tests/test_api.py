@@ -1,5 +1,8 @@
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +19,13 @@ def test_every_exported_name_resolves(module):
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(mod, name)]
     assert not missing, missing
+
+
+def test_import_loads_no_lapack_bindings():
+    # scipy.linalg is imported by the dense oracle's Gram solve alone
+    src = str(Path(phaseframe.__file__).resolve().parents[1])
+    code = "import sys, phaseframe, phaseframe.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

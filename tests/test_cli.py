@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib.metadata import entry_points
 from pathlib import Path
@@ -481,6 +482,40 @@ def test_validate_kernel_route_tolerance_follows_the_samples(capsys, monkeypatch
     assert main(["validate", "--N", "129", "--p", "512"]) == 1
     status = _status(capsys.readouterr().out.strip().splitlines())
     assert status["exact kernel route reproduces the samples"] == "FAIL"
+
+
+@pytest.mark.filterwarnings("ignore:mode weights below 1e-300:RuntimeWarning")
+def test_validate_samples_the_kernels_past_128(capsys):
+    # both kernel lines read the 128 points that dense_eig_check reads, so
+    # N = 16384 runs in about a second (73 s while they read all N points);
+    # the round trip and the nu0 overflow still fail on this grid
+    start = time.perf_counter()
+    code = main(["validate", "--N", "16384", "--p", "8192"])
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 1
+    assert [line.split(" ", 1)[0] for line in lines].count("PASS") == 5
+    status = _status(lines)
+    assert status["exact round trip on this grid"] == "FAIL"
+    assert status["measured error within bound"] == "FAIL"
+    assert elapsed < 20.0
+
+
+@pytest.mark.filterwarnings("ignore:mode weights below 1e-300:RuntimeWarning")
+def test_validate_delta_line_reads_each_kernels_own_point(capsys, monkeypatch):
+    # past N = 128 the delta line still reads the 1 at z_k: a kernel that
+    # misses it by 1e-6 there, and nowhere else, fails the line; at N = 1000
+    # no k drawn at seed 0 is one of the 128 sampled points
+    N, p = 1000, 20.0
+    pts = PhaseGrid(N, p).points()
+    exact = PartialReconstructor.lagrange_kernel
+
+    def off(self, k, z):
+        return exact(self, k, z) - 1e-6 * (np.abs(z - pts[k]) < 1e-9)
+
+    assert _validate_lines(capsys, N, p)["interpolation kernel delta property"] == "PASS"
+    monkeypatch.setattr(PartialReconstructor, "lagrange_kernel", off)
+    assert _validate_lines(capsys, N, p)["interpolation kernel delta property"] == "FAIL"
 
 
 # -- top level ----------------------------------------------------------------

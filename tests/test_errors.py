@@ -23,7 +23,7 @@ from phaseframe import (
     filtered_error_bound,
     truncation_epsilon,
 )
-from phaseframe import errors
+from phaseframe import errors, spectral
 from phaseframe.oracle import OracleSizeError
 from phaseframe.spectral import build_overlap
 
@@ -296,6 +296,25 @@ def test_default_bounds_past_double_range():
     assert error_bound(0.0, 1024.0, 1) == 1.0
     with pytest.raises(ValueError, match=r"nu0 = 10\^444\.72: \(1 \+ nu0\)\^2"):
         filtered_error_bound(0.1, 1024.0, 1)
+
+
+def test_the_budget_folds_one_column(monkeypatch):
+    # the bound reads nu_0 alone, so no budget sums the other N - 1 columns
+    widths = []
+    fold = spectral._log_fold
+
+    def recorded(*args):
+        out = fold(*args)
+        widths.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(spectral, "_log_fold", recorded)
+    psi = FockVector(np.ones(40) / math.sqrt(40))
+    for N, p in [(16, 9.0), (256, 300.0), (1024, 512.0)]:
+        assess(psi, PhaseGrid(N, p), measure=False)
+        error_bound(0.1, p, N)
+        filtered_error_bound(0.1, p, N)
+    assert len(widths) == 9 and set(widths) == {1}
 
 
 # -- full budget --------------------------------------------------------------

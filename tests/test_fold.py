@@ -27,6 +27,7 @@ from phaseframe import (
 )
 from phaseframe.spectral import (
     SERIES_TOL,
+    _log_excess,
     _log_fold,
     log_aliasing_excess,
     log_folded_weight,
@@ -192,6 +193,43 @@ def test_stop_rows_match_the_per_q_loops(tol, monkeypatch):
         log_folded_weight(p, N)
         log_aliasing_excess(p, N)
         assert stops[-2:] == [_loop_lhat_stop(p, N, tol), _loop_nu_stop(p, N, tol)], (N, p)
+
+
+# -- one column: nu_0 alone --------------------------------------------------
+
+# far corners: one point, a p past the head bound, N past p + 40 sqrt(p)
+EXTREME_GRIDS = [(1, 1e7), (64, 262144.0), (16384, 8192.0), (2048, 2048.0),
+                 (400, 0.5), (1, 1e-3), (4096, 3e6), (1024, 900.0)]
+# log nu_0 near 0, where one term past column 0's own stop could still move
+# the last bit of the sum
+NEAR_ZERO_GRIDS = [(N, float(p)) for N in (1, 2, 3, 8) for p in np.linspace(0.3, 1.2, 19)]
+
+
+def test_one_column_is_the_full_folds_entry_0():
+    grids = SWEEP_GRIDS + EXTREME_GRIDS + NEAR_ZERO_GRIDS
+    for N, p in grids:
+        one = _log_excess(p, N, 1)
+        assert one.shape == (1,)
+        assert one[0] == log_aliasing_excess(p, N)[0], (N, p)
+    assert any(abs(_log_excess(p, N, 1)[0]) < 0.1 for N, p in NEAR_ZERO_GRIDS)
+
+
+def test_one_column_rejects_inexact_indices():
+    with pytest.raises(ValueError, match="2\\^52") as full:
+        log_aliasing_excess(1e16, 4)
+    with pytest.raises(ValueError, match="2\\^52") as one:
+        _log_excess(1e16, 4, 1)
+    assert str(one.value) == str(full.value)
+
+
+@pytest.mark.parametrize("p,N", [(1e5, 64), (512.0, 2048), (1e5, 112_650), (0.7, 1), (40.0, 8)])
+def test_one_column_matches_50_digit_reference(p, N):
+    ref = _mp_log_series(
+        p, N, 0, 1,
+        lambda P, m, q: -mpmath.loggamma(m + 1) + q * N * mpmath.log(P),
+    )
+    got = _log_excess(p, N, 1)[0]
+    assert abs(float(ref - got)) <= nu_log_error(p, 0, _top_index(p, N))
 
 
 # -- partial reconstruction past the linear underflow ------------------------

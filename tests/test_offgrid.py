@@ -360,3 +360,18 @@ def test_non_finite_points_are_rejected(z):
         for points in (z, np.array([0.5, z])):
             with pytest.raises(ValueError, match="finite"):
                 route(points)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_value_past_double_range_is_a_named_error():
+    # N = 16384, p = 8192, M = N - 1: at |z| = 0.9 sqrt(p) the exact kernel
+    # route's rounding noise is scaled by about e^{(p - |z|^2)/2} and leaves
+    # double range; the point's |z| and the value's log10 are named instead
+    # of an inf returned beside an overflow warning
+    N, p = 16384, 8192.0
+    root = math.sqrt(p)
+    psi = _state(np.random.default_rng(5), round(p - 8 * root), round(p + 8 * root))
+    x = sample(psi, PhaseGrid(N, p)).values
+    z = 0.9 * root * np.exp(1j * np.array([0.1, 1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match=r"\|z\| = 81\.4587 is 10\^3\d\d\.\d, past double range"):
+        ExactReconstructor(N=N, p=p, M=N - 1).reconstruct(x, z)
