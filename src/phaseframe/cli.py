@@ -51,10 +51,10 @@ def _cell(x) -> str:
 def _emit(args, payload: dict, *tables) -> None:
     """Write a command's result in args.format to args.out (default stdout).
 
-    JSON is `payload` on one sorted line (no indent, so json's C encoder); a
-    NaN or infinite value in it is a ValueError, so no file is written.
+    JSON is `payload` on one sorted line (no indent, so json's C encoder).
     CSV is `tables`, (name, column) pair lists joined by one blank line;
     integers print as they are, floats with 17 digits so they round-trip.
+    A NaN or infinite value in either is a ValueError, so no file is written.
     """
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, allow_nan=False)
@@ -62,6 +62,9 @@ def _emit(args, payload: dict, *tables) -> None:
         blocks = []
         for table in tables:
             names, columns = zip(*table)
+            for name, column in table:
+                if not np.all(np.isfinite(np.asarray(column, dtype=float))):
+                    raise ValueError(f"CSV column {name!r} holds a NaN or infinite value")
             rows = (",".join(map(_cell, row)) for row in zip(*columns))
             blocks.append("\n".join([",".join(names), *rows]))
         text = "\n\n".join(blocks)
@@ -305,6 +308,7 @@ def _cmd_validate(args) -> int:
     # the kernels are read where dense_eig_check reads B: at every grid point
     # up to N = 128, and at 128 of them past it
     rows = _sampled_rows(N)
+    plan = SpectralData.build(grid, N - 1)
 
     def delta_defect(k):  # at the sampled points and at z_k itself
         r = np.union1d(rows, k)
@@ -317,7 +321,7 @@ def _cmd_validate(args) -> int:
     # each check gives (value, bound) and passes when value <= bound
     checks = [
         ("weight partition sum",
-         lambda: (SpectralData.build(grid).weight_sum_defect(), 1e-10 * N)),
+         lambda: (plan.weight_sum_defect(), 1e-10 * N)),
         ("exact kernel route reproduces the samples",
          lambda: (np.abs(rec.reconstruct(samples, pts[rows]) - samples.values[rows]).max(),
                   1e-9 * np.abs(samples.values).max())),
@@ -327,7 +331,7 @@ def _cmd_validate(args) -> int:
         # so sqrt(N) times it reads an eigenvalue error d as d
         ("dense circulant eigencheck", lambda: (
             dense_eig_check(grid) * math.sqrt(N),
-            1e-9 * np.max(build_overlap(grid).eigenvalues))),
+            1e-9 * np.max(plan.folded))),
         ("exact round trip on this grid",
          lambda: (np.abs(rec.dft_coefficients(samples.values).coefficients - a).max(), 1e-9)),
         ("interpolation kernel delta property",

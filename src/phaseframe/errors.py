@@ -29,7 +29,7 @@ from scipy.special import pdtr, pdtrc
 from ._validation import check_grid_size, check_order
 from .fock import FockVector, PhaseGrid, _as_z
 from .oracle import DenseFrame, OracleSizeError, measured_error_sq
-from .spectral import _log_excess, build_overlap, critical_radius
+from .spectral import _log_excess, critical_radius, log_folded_weight
 
 __all__ = [
     "truncation_epsilon",
@@ -254,8 +254,10 @@ def _measure_slack(grid: PhaseGrid) -> float:
     || |R*| |R| ||_2 <= N ||B||_2.  To first order dB moves q by
     |c* dB c| <= ||dB||_2 ||c||^2 <= ||dB||_2 q / min(lhat), and
     q <= ||a||^2, so the measurement errs by at most N gamma_{3N+1} cond(B)
-    with cond(B) = max(lhat) / min(lhat).
+    with cond(B) = max(lhat) / min(lhat) = exp(max - min of log lhat).
     """
     n = 3 * grid.N + 1
     gamma = n * _U / (1.0 - n * _U)
-    return max(1e-9, grid.N * gamma * build_overlap(grid).condition())
+    with np.errstate(over="ignore"):  # cond(B) is inf past double range
+        cond = float(np.exp(np.ptp(log_folded_weight(grid.p, grid.N))))
+    return max(1e-9, grid.N * gamma * cond)

@@ -35,10 +35,9 @@ __all__ = ["PartialReconstructor"]
 class PartialReconstructor(_Reconstructor):
     """Project sample data onto the span of N sampled coherent states.
 
-    The recovered aliases are modes 0..n_max, n_max = p + 20 sqrt(p) + 10 N
-    (`default_n_max`, at least 10 N); from `_alias_bound` B on each is an
-    exact zero for any finite samples, and only the modes below B are
-    weighted.
+    The recovered aliases are modes 0..n_max, n_max = ceil(p + 20 sqrt(p)
+    + 10 N) (at least 10 N); from `_alias_bound` B on each is an exact zero
+    for any finite samples, and only the modes below B are weighted.
 
     Parameters
     ----------
@@ -53,7 +52,9 @@ class PartialReconstructor(_Reconstructor):
         self.p = p
 
     def _plan(self) -> SpectralData:
-        return SpectralData.build(PhaseGrid(self.N, self.p))
+        grid = PhaseGrid(self.N, self.p)
+        n_max = math.ceil(grid.p + 20.0 * math.sqrt(grid.p) + 10.0 * grid.N)
+        return SpectralData.build(grid, n_max)
 
     @staticmethod
     def _log_scale(plan: SpectralData) -> np.ndarray:

@@ -54,7 +54,6 @@ __all__ = [
     "aliasing_excess",
     "critical_radius",
     "critical_radius_asymptote",
-    "default_n_max",
     "SpectralData",
     "CirculantOverlap",
     "build_overlap",
@@ -175,34 +174,24 @@ def critical_radius_asymptote(N) -> float:
     return 4.0 / math.e * N * (1.0 + math.log(2.0) / (2.0 * N))
 
 
-def default_n_max(p, N) -> int:
-    """Default materialization cutoff p + 20 sqrt(p) + 10 N."""
-    p = check_mean_number(p)
-    N = check_grid_size(N)
-    return int(math.ceil(p + 20.0 * math.sqrt(p) + 10.0 * N))
-
-
 @dataclass
 class SpectralData:
     """Weight arrays for one grid: the plan that every reconstruction reads.
 
-    weights[m] = lam_m for m = 0..n_max, folded[j] = lhat_j and
-    excess[j] = nu_j for j = 0..N-1, each beside its log.  Each array is
-    computed on first read and then kept, so a caller pays only for the
-    series it reads.
+    weights[m] = lam_m for m = 0..n_max, the caller's last mode; folded[j] =
+    lhat_j and excess[j] = nu_j for j = 0..N-1, each beside its log.  Each
+    array is computed on first read and then kept, so a caller pays only for
+    the series it reads.
     """
 
     grid: PhaseGrid
     n_max: int
 
     @staticmethod
-    def build(grid: PhaseGrid, n_max: int | None = None) -> "SpectralData":
-        """Validate the grid and resolve the default n_max; no array is
-        computed yet."""
+    def build(grid: PhaseGrid, n_max: int) -> "SpectralData":
+        """Validate the grid and n_max; no array is computed yet."""
         if not isinstance(grid, PhaseGrid):
             raise ValueError("grid must be a PhaseGrid")
-        if n_max is None:
-            n_max = default_n_max(grid.p, grid.N)
         return SpectralData(grid, check_order(n_max, "n_max"))
 
     @cached_property
@@ -230,8 +219,9 @@ class SpectralData:
         return np.exp(self.log_excess)
 
     def weight_sum_defect(self) -> float:
-        """|sum_m lam_m - N| over the materialized block; diagnostic for n_max."""
-        return abs(float(np.sum(self.weights)) - self.grid.N)
+        """|sum_j lhat_j - N|: the folded weights partition every lam_m, so
+        they sum to N; read from the fold, so independent of n_max."""
+        return abs(float(np.sum(self.folded)) - self.grid.N)
 
 
 @dataclass

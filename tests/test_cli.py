@@ -97,16 +97,20 @@ def test_spectrum_csv_matches_json_bit_for_bit(capsys, tmp_path):
     assert float(row3[3]) == payload["nu"][3]
 
 
-def test_spectrum_json_rejects_non_finite_values(tmp_path, capsys):
-    # nu_0 overflows at N=1, p=1024: JSON has no inf, so the command fails
-    # loudly and writes nothing (CSV still prints inf)
-    out = tmp_path / "spec.json"
+@pytest.mark.parametrize("fmt,message", [
+    ("json", "error: Out of range float values are not JSON compliant"),
+    ("csv", "error: CSV column 'nu_j' holds a NaN or infinite value"),
+], ids=["json", "csv"])
+def test_spectrum_json_rejects_non_finite_values(fmt, message, tmp_path, capsys):
+    # nu_0 overflows at N=1, p=1024: neither format writes inf, so the
+    # command fails loudly and writes nothing
+    out = tmp_path / f"spec.{fmt}"
     with pytest.warns(RuntimeWarning, match="overflow"):
-        code = main(["spectrum", "--N", "1", "--p", "1024", "--format", "json",
+        code = main(["spectrum", "--N", "1", "--p", "1024", "--format", fmt,
                      "--out", str(out)])
     assert code == 2
     assert not out.exists()
-    assert "error: Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_spectrum_has_no_tolerance_option(capsys):
@@ -662,7 +666,7 @@ def _json_case(case, state, psi):
     mesh = "0:3:4,0:6:5"
     zs = (np.linspace(0, 3, 4)[:, None] * np.exp(1j * np.linspace(0, 6, 5))).ravel()
     if case == "spectrum":
-        data = SpectralData.build(grid)
+        data = SpectralData.build(grid, 7)
         return ["spectrum", "--N", "8", "--p", "3.0"], {
             ("j",): np.arange(8), ("lambda",): data.weights[:8],
             ("lambda_hat",): data.folded, ("nu",): data.excess}

@@ -378,6 +378,18 @@ def test_assess_allows_for_the_dense_solve_on_ill_conditioned_grids():
         assert rep.measured is not None
 
 
+@pytest.mark.parametrize("N,p", [(4, 2.0), (32, 4.0), (64, 40.0), (1024, 512.0), (256, 0.5)])
+def test_measure_slack_reads_the_condition_number_from_the_fold(N, p):
+    # cond(B) = exp(max - min) of log lhat is max(lhat)/min(lhat) up to
+    # rounding, and inf without a warning where min(lhat) underflows (256, 0.5)
+    grid = PhaseGrid(N, p)
+    u = np.finfo(float).eps / 2
+    gamma = (3 * N + 1) * u / (1.0 - (3 * N + 1) * u)
+    want = max(1e-9, N * gamma * build_overlap(grid).condition())
+    assert errors._measure_slack(grid) == pytest.approx(want, rel=1e-11)
+    assert math.isinf(want) == (N == 256)
+
+
 def test_assess_self_check_still_flags_an_excess_on_a_well_conditioned_grid(
     monkeypatch,
 ):

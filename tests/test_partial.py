@@ -29,10 +29,15 @@ from phaseframe.exact import recover
 from phaseframe.fock import _LOG_TINY, scale_by_exp
 from phaseframe.oracle import DenseFrame, dense_project
 from phaseframe.partial import _alias_bound, _filter_bound
-from phaseframe.spectral import default_n_max, log_folded_weight, log_mode_weight
+from phaseframe.spectral import log_folded_weight, log_mode_weight
 
 
 U = np.finfo(float).eps / 2
+
+
+def _n_max(p, N):
+    """The partial plan's last mode, ceil(p + 20 sqrt(p) + 10 N)."""
+    return math.ceil(p + 20.0 * math.sqrt(p) + 10.0 * N)
 
 
 def unit_state(rng, length):
@@ -182,8 +187,8 @@ def _dense_projector(rec, size):
     "N,p,size", [(1, 2.0, 40), (3, 5.0, None), (8, 6.0, 100), (5, 80.0, 257)]
 )
 def test_projector_matrix_matches_dense_formula(N, p, size):
-    # None: the size that was the default, default_n_max + 1
-    size = default_n_max(p, N) + 1 if size is None else size
+    # None: the partial plan's length, _n_max + 1
+    size = _n_max(p, N) + 1 if size is None else size
     rec = PartialReconstructor(N=N, p=p)
     P = rec.projector_matrix(size)
     assert P.shape == (size, size)
@@ -304,8 +309,8 @@ def test_filtered_rejects_m_at_or_above_n():
 
 
 def _all_aliases(N, p, X):
-    """Every alias n = 0..default n_max, materialized in full."""
-    n = np.arange(default_n_max(p, N) + 1)
+    """Every alias n = 0.._n_max, materialized in full."""
+    n = np.arange(_n_max(p, N) + 1)
     log_folded = log_folded_weight(p, N)
     logmag = 0.5 * log_mode_weight(n, p, N) - log_folded[n % N] - 0.5 * math.log(N)
     S = N * np.fft.ifft(X, axis=-1)
@@ -322,7 +327,7 @@ def test_transform_skips_only_aliases_that_underflow():
     X = np.stack([rows[0], np.zeros(N), 1e100 * rows[1]])
     got = PartialReconstructor(N=N, p=p).transform(X)
     ref = _all_aliases(N, p, X)
-    assert got.shape == ref.shape == (3, default_n_max(p, N) + 1)
+    assert got.shape == ref.shape == (3, _n_max(p, N) + 1)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     # the cutoff is taken: most of the first row is zero, yet the 1e100 row
     # still carries nonzero aliases beyond it
@@ -400,7 +405,7 @@ def test_recover_is_bit_identical_to_the_per_mode_formulation(N, p, X):
     # signed zeros included: a dead tail formed as S * 0.0 instead of
     # 0.0 * S/|S| flips them where S_j = a - 0.0i with a < 0 (the tiny rows)
     rec = PartialReconstructor(N=N, p=p)
-    n_max = default_n_max(p, N)
+    n_max = _n_max(p, N)
     scale = _alias_scale(N, p, n_max)
     ref = _first_recover(X, scale)
     assert _same(_outcome(lambda: rec.transform(X)), ref)
@@ -464,7 +469,7 @@ def test_overflow_is_the_named_error_under_warnings_as_errors():
         (400, 0.5, np.random.default_rng(31).standard_normal(400) + 0j),
     ]
     for N, p, x in cases:
-        ref = _first_recover(x, _alias_scale(N, p, default_n_max(p, N)))
+        ref = _first_recover(x, _alias_scale(N, p, _n_max(p, N)))
         assert ref.startswith("coefficients must contain only finite entries; first not")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -489,7 +494,7 @@ def test_alias_bound_leaves_only_exact_zeros(log10_p, N):
     bound = _alias_bound(p, N, float(np.min(log_folded)))
     assert bound >= N
     # every mode from the bound on, past n_max too, is dead at the largest |S|
-    n = np.arange(bound, max(bound, default_n_max(p, N)) + 2 * N + 100)
+    n = np.arange(bound, max(bound, _n_max(p, N)) + 2 * N + 100)
     scale = 0.5 * log_mode_weight(n, p, N) - log_folded[n % N] - 0.5 * math.log(N)
     assert np.all(scale + math.log(np.finfo(float).max) < _LOG_TINY)
 
@@ -508,7 +513,7 @@ def test_partial_transform_reads_only_the_live_weights(monkeypatch):
     N, p = 1024, 512.0
     X = np.random.default_rng(83).standard_normal((4, N)) + 0j
     out = PartialReconstructor(N=N, p=p).transform(X)
-    assert out.shape == (4, default_n_max(p, N) + 1) == (4, 11206)
+    assert out.shape == (4, _n_max(p, N) + 1) == (4, 11206)
     assert 0 < sum(read) < 4000
 
 
@@ -558,7 +563,7 @@ def test_filter_bound_holds_for_any_periodic_weights(N, p):
     L = _filter_bound(N, math.sqrt(p) * float(np.max(np.abs(z))))
     plan = PartialReconstructor(N=N, p=p)._plan()
     assert len(PartialReconstructor._log_filter(plan, z)) == L >= N
-    far = default_n_max(r_max * p, N) + 1
+    far = _n_max(r_max * p, N) + 1
     rows = -(-far // N)
     n = np.arange(rows * N).reshape(rows, N)
     log_c = log_mode_weight(n, p, N) - log_folded_weight(p, N)[n % N]

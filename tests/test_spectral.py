@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from phaseframe import (
 )
 from phaseframe.oracle import fourier_matrix
 from phaseframe.spectral import (
-    default_n_max,
     log_aliasing_excess,
+    log_folded_weight,
     overlap_from_points,
 )
 
@@ -27,6 +28,11 @@ FOLDED_0_P1_N4 = 1.5328675039294386
 EXCESS_0_P1_N10 = 2.7557319224026994e-07
 CRITICAL_10 = 15.227764732987045
 CRITICAL_100 = 147.6620351730296
+
+
+def _n_max(p, N):
+    """The partial plan's last mode, ceil(p + 20 sqrt(p) + 10 N)."""
+    return math.ceil(p + 20.0 * math.sqrt(p) + 10.0 * N)
 
 
 # -- mode weights -------------------------------------------------------------
@@ -48,7 +54,7 @@ def test_mode_weights_are_scaled_poisson():
 def test_weight_partition_of_unity():
     # sum over all modes equals N
     for p, N in ((1.0, 4), (10.0, 7), (50.0, 16), (200.0, 3)):
-        m = np.arange(default_n_max(p, N) + 1)
+        m = np.arange(_n_max(p, N) + 1)
         total = float(np.sum(mode_weight(m, p, N)))
         assert total == pytest.approx(N, rel=1e-13)
 
@@ -224,13 +230,41 @@ def test_overlap_series_dft_defect_small():
 
 def test_spectral_data_build():
     grid = PhaseGrid(6, 4.0)
-    data = SpectralData.build(grid)
-    assert data.n_max >= default_n_max(4.0, 6)
+    data = SpectralData.build(grid, _n_max(4.0, 6))
+    assert data.n_max == _n_max(4.0, 6)
     assert data.log_weights.shape == (data.n_max + 1,)
     assert data.folded.shape == (6,)
     assert data.weight_sum_defect() < 1e-12
     assert np.allclose(data.weights, np.exp(data.log_weights), rtol=1e-15)
     assert np.allclose(np.exp(data.log_excess), data.excess, rtol=1e-13)
+
+
+def test_spectral_data_build_needs_a_length():
+    # every plan takes its length from its caller
+    with pytest.raises(TypeError):
+        SpectralData.build(PhaseGrid(6, 4.0))
+
+
+@pytest.mark.parametrize("N,p", [(1, 3.0), (6, 4.0), (64, 40.0), (1024, 512.0)])
+def test_weight_sum_defect_reads_the_fold(N, p):
+    grid = PhaseGrid(N, p)
+    short = SpectralData.build(grid, 0).weight_sum_defect()
+    long = SpectralData.build(grid, N - 1).weight_sum_defect()
+    assert short == long == abs(float(np.sum(folded_weight(p, N))) - N)
+
+
+def test_weight_sum_defect_at_large_p_stays_small_in_memory():
+    # N = 1, p = 10^7: the fold sums O(sqrt(p)) terms in about 0.24 MB, where
+    # the mode-by-mode sum over p + 20 sqrt(p) + 10 N weights took over 80 MB.
+    # The value is the Poisson weights' own rounding at this p (ROADMAP item 7)
+    tracemalloc.start()
+    try:
+        value = SpectralData.build(PhaseGrid(1, 1e7), 0).weight_sum_defect()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(5.234e-10, rel=1e-2)
+    assert peak < 10e6
 
 
 # -- roots-of-unity helpers ---------------------------------------------------
