@@ -34,7 +34,6 @@ from .oracle import (
     OracleSizeError,
     _sampled_rows,
     dense_eig_check,
-    dense_project,
     dense_pseudoinverse_fit,
 )
 from .partial import PartialReconstructor
@@ -191,17 +190,19 @@ def _reconstruct_inputs(args):
     return sample(truth, grid), truth
 
 
-def _referee(mode: str, sset: SampleSet, state: FockVector, M) -> np.ndarray:
-    """The dense oracle's coefficients for one reconstruct mode."""
-    grid = sset.grid
-    if mode == "exact":
+def _referee(mode: str, sset: SampleSet, state: FockVector) -> np.ndarray:
+    """The dense oracle's coefficients of the samples for one reconstruct
+    mode, over the modes 0..M of the recovered state."""
+    grid, M = sset.grid, len(state) - 1
+    if mode == "exact":  # least squares T+ Psi
         frame = DenseFrame.build(grid, grid.N - 1)
         return dense_pseudoinverse_fit(frame, M, sset.values)
-    if mode == "partial":
-        return dense_project(DenseFrame.build(grid, len(state) - 1), state)
-    # filtered: project onto the sample span, then apply the in-band gains
+    # the aliases T* B^-1 Psi of the projection onto the sample span
     frame = DenseFrame.build(grid, M)
     aliases = frame.T.conj().T @ frame.solve_gram(sset.values)
+    if mode == "partial":
+        return aliases
+    # filtered: the aliases times the in-band gains
     with np.errstate(over="ignore", invalid="ignore"):
         ref = aliases * (1.0 + aliasing_excess(grid.p, grid.N)[: M + 1])
     if not np.all(np.isfinite(ref)):
@@ -214,9 +215,9 @@ def _referee(mode: str, sset: SampleSet, state: FockVector, M) -> np.ndarray:
 
 def _cmd_reconstruct(args) -> int:
     sset, truth = _reconstruct_inputs(args)
-    grid, mode, M = sset.grid, args.mode, args.M
+    grid, mode = sset.grid, args.mode
     if mode == "partial":
-        if M is not None:
+        if args.M is not None:
             raise ValueError(
                 "partial mode materializes every alias; --M only applies to "
                 "exact or filtered mode"
@@ -225,14 +226,11 @@ def _cmd_reconstruct(args) -> int:
         state = rec.alias_coefficients(sset.values)
     else:
         # the filtered pipeline is the oversampled DFT recovery of modes 0..M
-        M = grid.N - 1 if M is None else M
-        if not 0 <= M < grid.N:
-            raise ValueError(f"{mode} mode needs 0 <= M < N; got M = {M}, N = {grid.N}")
-        rec = ExactReconstructor(N=grid.N, p=grid.p, M=M)
+        rec = ExactReconstructor(N=grid.N, p=grid.p, M=args.M)
         state = rec.dft_coefficients(sset.values)
     payload = {**state.to_json(), "mode": mode, "grid": grid.to_json()}
     if args.oracle:
-        ref = _referee(mode, sset, state, M)
+        ref = _referee(mode, sset, state)
         payload["oracle_deviation"] = float(np.max(np.abs(state.coefficients - ref)))
         print(
             f"oracle max coefficient deviation: {payload['oracle_deviation']:.3e}",
@@ -303,7 +301,7 @@ def _cmd_validate(args) -> int:
     ks = range(N) if N <= 6 else rng.integers(0, N, 6)
     a2 = _unit_vector(rng, min(N + 50, 400))
     samples = sample(FockVector(a), grid)
-    rec = ExactReconstructor(N=N, p=grid.p, M=N - 1)
+    rec = ExactReconstructor(N=N, p=grid.p)
     part = PartialReconstructor(N=N, p=grid.p)
     # the kernels are read where dense_eig_check reads B: at every grid point
     # up to N = 128, and at 128 of them past it

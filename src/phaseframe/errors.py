@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import pdtr, pdtrc
 
 from ._validation import check_grid_size, check_order
-from .fock import FockVector, PhaseGrid, _as_z
+from .fock import CoherentPoint, FockVector, PhaseGrid
 from .oracle import DenseFrame, OracleSizeError, measured_error_sq
 from .spectral import _log_excess, critical_radius, log_folded_weight
 
@@ -118,7 +118,7 @@ def coherent_epsilon(p=None, N=None, *, zeta=None):
     if zeta is not None:
         if p is not None:
             raise ValueError("pass either p or zeta, not both")
-        p = abs(_as_z(zeta)) ** 2
+        p = CoherentPoint(zeta).p
     if p is None:
         raise ValueError("missing mean number p (or zeta)")
     N = check_grid_size(N)

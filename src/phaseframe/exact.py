@@ -33,11 +33,6 @@ from .spectral import SpectralData
 __all__ = ["ExactReconstructor"]
 
 
-def unit_row(N: int, k: int) -> np.ndarray:
-    """e^{2 pi i k j / N} for j = 0..N-1, with k*j reduced mod N first."""
-    return np.exp(2j * np.pi * np.mod(int(k) * np.arange(N), N) / N)
-
-
 def recover(values: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     """c_n = exp(log_scale_n) S_{n mod N} for n < len(log_scale), where
     S_j = sum_k e^{2 pi i k j / N} Psi_k.
@@ -86,20 +81,6 @@ def _periods(a: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return a[..., : q * N].reshape(lead + (q, N)), a[..., q * N :].reshape(lead + (1, r))
 
 
-def dft_log_scale(plan: SpectralData) -> np.ndarray:
-    """-(log N + log lam_m)/2 for m = 0..n_max: the oversampled recovery
-    a_m = (N lam_m)^{-1/2} sum_k e^{2 pi i k m / N} Psi_k."""
-    N, logw = plan.grid.N, plan.log_weights
-    if np.any(logw < math.log(1e-300) + math.log(N)):
-        warnings.warn(
-            "mode weights below 1e-300*N: recovered top coefficients are "
-            "dominated by double-precision sample rounding",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return -0.5 * (math.log(N) + logw)
-
-
 class _Reconstructor:
     """Estimator core shared by both reconstructors.
 
@@ -127,15 +108,6 @@ class _Reconstructor:
         self.coef_ = None
         self.samples_ = None
         return self
-
-    def _band_plan(self, M, message: str) -> SpectralData:
-        """Plan of modes 0..M, where M (default N - 1) must lie below N;
-        `message` is formatted with M and N when it does not."""
-        grid = PhaseGrid(self.N, self.p)
-        M = grid.N - 1 if M is None else check_order(M, "M")
-        if M >= grid.N:
-            raise ValueError(message.format(M=M, N=grid.N))
-        return SpectralData.build(grid, M)
 
     def fit(self, X, y=None):
         """Store the samples and recover the coefficient vector."""
@@ -183,8 +155,9 @@ class _Reconstructor:
         critical sampling N = M+1, or the projection's L_k(z), with
         L_k(z_l) = delta_kl; for N = 1 that is the coherent-state overlap
         ratio C(z, z_0), since lhat_0 sums every weight."""
-        plan = self._plan()
-        return self._series(plan, z, unit_row(plan.grid.N, k))
+        plan, N = self._plan(), self.N
+        unit = np.exp(2j * np.pi * np.mod(int(k) * np.arange(N), N) / N)  # k j mod N first
+        return self._series(plan, z, unit)
 
     def _series(self, plan: SpectralData, z, W: np.ndarray):
         """(1/N) e^{(p-|z|^2)/2} sum_n c_n w0^n W_{n mod N}, w0 = conj(z)/sqrt(p)."""
@@ -200,7 +173,7 @@ class ExactReconstructor(_Reconstructor):
     ----------
     N : grid size (number of phase samples).
     p : squared circle radius / mean particle number.
-    M : largest active mode; must satisfy M < N.
+    M : largest active mode; must satisfy M < N (default N - 1).
     """
 
     _params = ("N", "p", "M")
@@ -211,13 +184,27 @@ class ExactReconstructor(_Reconstructor):
         self.M = M
 
     def _plan(self) -> SpectralData:
-        # checked here because M, unlike the filter order, has no default
-        return self._band_plan(
-            check_order(self.M, "M"),
-            "exact mode needs strict oversampling: M = {M} must be < N = {N}",
-        )
+        """Plan of modes 0..M: the one check of M < N for every band route."""
+        grid = PhaseGrid(self.N, self.p)
+        M = grid.N - 1 if self.M is None else check_order(self.M, "M")
+        if M >= grid.N:
+            raise ValueError("in-band recovery needs M < N (strict oversampling); "
+                             f"got M = {M}, N = {grid.N}")
+        return SpectralData.build(grid, M)
 
-    _log_scale = staticmethod(dft_log_scale)
+    @staticmethod
+    def _log_scale(plan: SpectralData) -> np.ndarray:
+        """-(log N + log lam_m)/2 for m = 0..M: the oversampled recovery
+        a_m = (N lam_m)^{-1/2} sum_k e^{2 pi i k m / N} Psi_k."""
+        N, logw = plan.grid.N, plan.log_weights
+        if np.any(logw < math.log(1e-300) + math.log(N)):
+            warnings.warn(
+                "mode weights below 1e-300*N: recovered top coefficients are "
+                "dominated by double-precision sample rounding",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return -0.5 * (math.log(N) + logw)
 
     @staticmethod
     def _log_filter(plan: SpectralData, z) -> np.ndarray:

@@ -48,7 +48,7 @@ class CoherentPoint:
     z: complex
 
     def __post_init__(self):
-        z = complex(self.z)
+        z = _as_z(self.z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError(f"coherent point must be finite, got {z}")
         object.__setattr__(self, "z", z)
@@ -56,7 +56,10 @@ class CoherentPoint:
     @property
     def p(self) -> float:
         """Mean particle number |z|^2 of the state."""
-        return abs(self.z) ** 2
+        try:
+            return abs(self.z) ** 2
+        except OverflowError:
+            raise ValueError(f"|z|^2 is past double range at z = {self.z}") from None
 
     @property
     def theta(self) -> float:
@@ -358,13 +361,14 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
     """
     zs = as_finite_points(z)
     w0 = scale * zs.conjugate().ravel()
-    log_pref = log_offset - 0.5 * np.abs(zs.ravel()) ** 2
     nonzero = np.flatnonzero(weights)
     K = nonzero[-1] + 1 if nonzero.size else 0
     out = np.zeros(w0.shape, dtype=complex)
     if K:
         n = np.arange(K)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
+            # -inf past |z| ~ 1.3e154 is the exact limit of -|z|^2/2
+            log_pref = log_offset - 0.5 * np.abs(zs.ravel()) ** 2
             log_abs = np.log(np.abs(w0))
             log_t = log_c[:K] + np.log(np.abs(weights[:K]))  # log|c_n weights_n|
         arg_t = np.arctan2(weights[:K].imag, weights[:K].real)

@@ -97,6 +97,9 @@ class DenseFrame:
         eigenvalue clipping when the factorization breaks down."""
         from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+        if self.grid.N - 1 > _N_MAX_CAP:  # B is N x N: held to the frame cap
+            raise OracleSizeError(f"dense Gram solve cap is N - 1 <= {_N_MAX_CAP}, "
+                                  f"got N = {self.grid.N}")
         B = self.gram()
         try:
             return cho_solve(cho_factor(B), v)
@@ -183,8 +186,13 @@ def quadrature_coefficient(psi: FockVector, n: int, p: float, Q: int) -> complex
     s = complex(np.mean(np.exp(1j * n * theta) * vals))
     if s == 0:
         return 0.0 + 0.0j
-    log_pref = 0.5 * (gammaln(n + 1.0) - n * math.log(p) + p)
-    return np.exp(log_pref + math.log(abs(s))) * (s / abs(s))
+    log_mag = 0.5 * (gammaln(n + 1.0) - n * math.log(p) + p) + math.log(abs(s))
+    with np.errstate(over="ignore"):
+        mag = np.exp(log_mag)
+    if np.isinf(mag):
+        raise ValueError(f"quadrature coefficient at n = {n} is "
+                         f"10^{log_mag / math.log(10):.1f}, past double range")
+    return mag * (s / abs(s))
 
 
 def _sampled_rows(N: int) -> np.ndarray:

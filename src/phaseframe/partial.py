@@ -25,8 +25,8 @@ import math
 import numpy as np
 
 from ._validation import as_finite_points, check_order
-from .exact import _Reconstructor, dft_log_scale, recover
-from .fock import _LOG_TINY, _LOG_U, FockVector, PhaseGrid, grid_samples
+from .exact import ExactReconstructor, _Reconstructor
+from .fock import _LOG_TINY, _LOG_U, FockVector, PhaseGrid
 from .spectral import SpectralData, log_mode_weight
 
 __all__ = ["PartialReconstructor"]
@@ -72,7 +72,11 @@ class PartialReconstructor(_Reconstructor):
         """log c_n = log lam_n - log lhat_{n mod N} for n below
         `_filter_bound` at the largest sqrt(p) |z| of the call."""
         grid, zs = plan.grid, as_finite_points(z)
-        s = math.sqrt(grid.p) * float(np.max(np.abs(zs), initial=0.0))
+        r = float(np.max(np.abs(zs), initial=0.0))
+        s = math.sqrt(grid.p) * r
+        if s > 2.0**52:  # the mode indices near s must be exact doubles
+            raise ValueError(f"|z| = {r:g} puts sqrt(p) |z| = {s:g} beyond 2^52, "
+                             "too far out to sum the projection's series")
         n = np.arange(_filter_bound(grid.N, s))
         return log_mode_weight(n, grid.p, grid.N) - plan.log_folded[n % grid.N]
 
@@ -115,22 +119,20 @@ class PartialReconstructor(_Reconstructor):
         return out
 
     def filter_factors(self, M: int | None = None) -> np.ndarray:
-        """In-band filter gains 1 + nu_n for n = 0..M."""
-        plan = self._band_plan(
-            M, "filter order M = {M} must stay below the grid size N = {N}"
-        )
+        """In-band filter gains 1 + nu_n for n = 0..M (default N - 1)."""
+        plan = ExactReconstructor(self.N, self.p, M)._plan()
         return 1.0 + plan.excess[: plan.n_max + 1]
 
     def reconstruct_filtered(self, X, M: int | None = None) -> FockVector:
-        """Truncate the aliases at M <= N-1 and undo the (1+nu_n)^{-1}
-        in-band attenuation.
+        """Truncate the aliases at M <= N-1 (default N - 1) and undo the
+        (1+nu_n)^{-1} in-band attenuation.
 
         Since (1+nu_n) = lhat_n/lam_n, the gain times the alias scale
         sqrt(lam_n)/(lhat_n sqrt(N)) is 1/sqrt(N lam_n): the filtered
-        pipeline is exactly the oversampled DFT recovery of modes 0..M.
+        pipeline is exactly the oversampled DFT recovery of modes 0..M,
+        so it is that recovery.
         """
-        plan = self._band_plan(M, "filtered mode needs M < N; got M = {M}, N = {N}")
-        return FockVector(recover(grid_samples(X, plan.grid), dft_log_scale(plan)))
+        return ExactReconstructor(self.N, self.p, M).dft_coefficients(X)
 
 
 def _alias_bound(p: float, N: int, log_floor: float) -> int:

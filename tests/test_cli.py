@@ -27,6 +27,7 @@ from phaseframe import (
     sample,
 )
 from phaseframe import cli as cli_module
+from phaseframe import oracle
 from phaseframe.cli import main
 from phaseframe.spectral import SpectralData
 
@@ -266,10 +267,26 @@ def test_reconstruct_mode_m_window(tmp_path, capsys):
     state = write_state(tmp_path, [1.0, 0.5])
     base = ["--state", state, "--N", "4", "--p", "2.0"]
     assert main(["reconstruct", "--mode", "exact", "--M", "4", *base]) == 2
-    assert "exact mode needs 0 <= M < N" in capsys.readouterr().err
+    assert "in-band recovery needs M < N" in capsys.readouterr().err
     assert main(["reconstruct", "--mode", "exact", "--M", "-1", *base]) == 2
     assert main(["reconstruct", "--mode", "filtered", "--M", "7", *base]) == 2
-    assert "filtered mode needs 0 <= M < N" in capsys.readouterr().err
+    assert "in-band recovery needs M < N" in capsys.readouterr().err
+
+
+def test_m_at_n_is_one_message_on_every_band_route(tmp_path, capsys):
+    message = "in-band recovery needs M < N (strict oversampling); got M = 4, N = 4"
+    x = np.ones(4, dtype=complex)
+    partial = PartialReconstructor(N=4, p=2.0)
+    for route in (lambda: ExactReconstructor(N=4, p=2.0, M=4).fit(x),
+                  lambda: partial.filter_factors(4),
+                  lambda: partial.reconstruct_filtered(x, 4)):
+        with pytest.raises(ValueError) as exc:
+            route()
+        assert str(exc.value) == message
+    samp = write_samples(tmp_path, PhaseGrid(4, 2.0), x)
+    for mode in ("exact", "filtered"):
+        assert main(["reconstruct", "--mode", mode, "--M", "4", "--samples", samp]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_reconstruct_needs_input(capsys):
@@ -750,6 +767,36 @@ def test_reconstruct_filtered_oracle_agrees(tmp_path, capsys):
     deviation = json.loads(captured.out)["oracle_deviation"]
     assert 0.0 <= deviation < 1e-10
     assert "oracle max coefficient deviation" in captured.err
+
+
+def test_partial_oracle_reads_the_samples(tmp_path, capsys, monkeypatch):
+    # the referee is T* B^-1 Psi of the samples: aliases of other samples lie
+    # in the sample span too, so a projection of the output would pass them
+    rng = np.random.default_rng(31)
+    state = write_state(tmp_path, unit_coeff(rng, 6))
+    argv = ["reconstruct", "--mode", "partial", "--N", "6", "--p", "3.5",
+            "--state", state, "--oracle", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_deviation"] < 1e-10
+    honest = PartialReconstructor.alias_coefficients
+    monkeypatch.setattr(PartialReconstructor, "alias_coefficients",
+                        lambda self, X: honest(self, 2.0 * np.asarray(X)[::-1]))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_deviation"] > 1e-6
+
+
+def test_filtered_oracle_caps_the_gram_solve_before_building_it(tmp_path, capsys,
+                                                                monkeypatch):
+    def built(grid):
+        raise AssertionError(f"an N x N Gram matrix was built at N = {grid.N}")
+
+    monkeypatch.setattr(oracle, "overlap_from_points", built)
+    state = write_state(tmp_path, [1.0, 0.5])
+    assert main(["reconstruct", "--mode", "filtered", "--M", "5", "--N", "2002",
+                 "--p", "3", "--state", state, "--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dense Gram solve cap is N - 1 <= 2000, got N = 2002" in captured.err
 
 
 @pytest.mark.parametrize("N", [16, 64])

@@ -229,6 +229,11 @@ def test_coherent_epsilon_accepts_label():
         coherent_epsilon(None, 12)
 
 
+def test_coherent_epsilon_label_past_double_range_names_it():
+    with pytest.raises(ValueError, match=r"\|z\|\^2 is past double range"):
+        coherent_epsilon(zeta=1e200, N=4)
+
+
 # -- bounds -------------------------------------------------------------------
 
 

@@ -169,6 +169,22 @@ def test_rejects_inconsistent_setup():
         ExactReconstructor(N=4, p=2.0, M=-1).fit(np.zeros(4, dtype=complex))
 
 
+def test_m_defaults_to_n_minus_1_bit_for_bit():
+    rng = np.random.default_rng(97)
+    N, p = 9, 6.0
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    z = np.array([0.3 - 1.1j, 2.0, 2.4j])
+    bare, full = ExactReconstructor(N=N, p=p), ExactReconstructor(N=N, p=p, M=N - 1)
+    for route in (
+        lambda rec: rec.fit(x).coef_,
+        lambda rec: rec.transform(np.vstack([x, 2.0 * x])),
+        lambda rec: rec.reconstruct(x, z),
+        lambda rec: rec.sinc_kernel(4, z),
+        lambda rec: rec.fit(x).resample(),
+    ):
+        assert route(bare).tobytes() == route(full).tobytes()
+
+
 def test_underflow_weight_warning():
     # lam_170(p=0.5) is ~1e-354: the top coefficients cannot survive sample
     # rounding and the recovery says so

@@ -160,6 +160,11 @@ def test_coherent_point_properties():
         CoherentPoint(complex("inf"))
 
 
+def test_coherent_point_p_past_double_range_names_it():
+    with pytest.raises(ValueError, match=r"\|z\|\^2 is past double range"):
+        CoherentPoint(1e200).p
+
+
 # -- state container ----------------------------------------------------------
 
 

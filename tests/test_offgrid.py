@@ -375,3 +375,18 @@ def test_a_value_past_double_range_is_a_named_error():
     z = 0.9 * root * np.exp(1j * np.array([0.1, 1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match=r"\|z\| = 81\.4587 is 10\^3\d\d\.\d, past double range"):
         ExactReconstructor(N=N, p=p, M=N - 1).reconstruct(x, z)
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_route_past_the_square_overflow_of_z():
+    # |z|^2 overflows past |z| ~ 1.3e154, where e^{-|z|^2/2} is an exact 0;
+    # the projection's series, whose length grows as sqrt(p) |z|, names |z|
+    z = np.array([1e200, -1e200j, 0.5 + 0.5j])
+    for name, route in _routes(8, 6.0, 7, 17).items():
+        if name in ("partial_reconstruct", "lagrange_kernel"):
+            with pytest.raises(ValueError, match=r"\|z\| = 1e\+200 puts sqrt\(p\) \|z\|"):
+                route(z)
+        else:
+            out = route(z)
+            assert np.all(out[:2] == 0) and out[2] != 0, name
+            assert route(1e200) == 0, name

@@ -140,6 +140,13 @@ def test_quadrature_warns_on_aliasing():
     assert abs(got - psi.coefficients[1]) > 1e-3
 
 
+def test_quadrature_past_double_range_is_a_named_error():
+    # a_500 of the vacuum is 0, but the rounding of the circle mean, scaled
+    # by sqrt(500!) e^{1/2}, is far past double range
+    with pytest.raises(ValueError, match=r"at n = 500 is 10\^\d+\.\d, past double range"):
+        quadrature_coefficient(FockVector.basis_state(0), 500, 1.0, 1024)
+
+
 # -- eigenstructure -----------------------------------------------------------
 
 

@@ -259,7 +259,7 @@ def test_filter_factors_are_one_plus_excess():
     assert np.allclose(f, 1.0 + aliasing_excess(p, N), rtol=1e-13)
     assert np.all(np.diff(f) < 0)
     assert rec.filter_factors(3).shape == (4,)
-    with pytest.raises(ValueError, match="below the grid size"):
+    with pytest.raises(ValueError, match="in-band recovery needs M < N"):
         rec.filter_factors(8)
 
 
