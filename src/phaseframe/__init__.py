@@ -23,6 +23,7 @@ from .fock import (
     CoherentPoint,
     FockVector,
     PhaseGrid,
+    PolarMesh,
     SampleSet,
     TailProfile,
     coherent_amplitude,
@@ -56,6 +57,7 @@ __all__ = [
     "CoherentPoint",
     "FockVector",
     "PhaseGrid",
+    "PolarMesh",
     "SampleSet",
     "TailProfile",
     "coherent_amplitude",

@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__
 from .errors import assess, droplet
 from .exact import ExactReconstructor
-from .fock import FockVector, PhaseGrid, SampleSet, _pairs, evaluate, load_json, sample
+from .fock import FockVector, PhaseGrid, PolarMesh, SampleSet, _pairs, evaluate, load_json
+from .fock import sample
 from .oracle import (
     DenseFrame,
     OracleSizeError,
@@ -103,42 +104,48 @@ def _parse_float_spec(spec: str, flag: str) -> list[float]:
     """Either a comma list '1,2.5,8' or a linspace 'start:stop:count', of
     finite values only (checked before any arithmetic on them)."""
     if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"{flag} range must look like start:stop:count")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"malformed {flag} range: {exc}") from exc
-        if count < 1:
-            raise ValueError(f"{flag} range count must be >= 1")
-        values = [start, stop]
-    else:
-        try:
-            values = [float(tok) for tok in spec.split(",") if tok != ""]
-        except ValueError as exc:
-            raise ValueError(f"{flag} expects numbers: {exc}") from exc
-        if not values:
-            raise ValueError(f"{flag} must name at least one value")
+        return [float(x) for x in np.linspace(*_parse_range(spec, flag))]
+    try:
+        values = [float(tok) for tok in spec.split(",") if tok != ""]
+    except ValueError as exc:
+        raise ValueError(f"{flag} expects numbers: {exc}") from exc
+    if not values:
+        raise ValueError(f"{flag} must name at least one value")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{flag} values must be finite, got {spec!r}")
-    if ":" in spec:
-        return [float(x) for x in np.linspace(start, stop, count)]
     return values
 
 
-def _parse_eval_mesh(spec: str) -> np.ndarray:
-    """Polar mesh 'r0:r1:nr,t0:t1:nt' -> complex points r e^{i t}, r-major."""
+def _parse_range(spec: str, flag: str) -> tuple[float, float, int]:
+    """start, stop, count of a linspace 'start:stop:count' with finite ends."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"{flag} range must look like start:stop:count")
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ValueError(f"malformed {flag} range: {exc}") from exc
+    if count < 1:
+        raise ValueError(f"{flag} range count must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{flag} values must be finite, got {spec!r}")
+    return start, stop, count
+
+
+def _parse_eval_mesh(spec: str):
+    """Polar mesh 'r0:r1:nr,t0:t1:nt': a PolarMesh when the angles are a
+    range, else the complex points r e^{i t}, r-major."""
     parts = spec.split(",")
     if len(parts) != 2:
         raise ValueError("--eval-mesh must look like r0:r1:nr,t0:t1:nt")
     radii = _parse_float_spec(parts[0], "--eval-mesh radius")
-    thetas = _parse_float_spec(parts[1], "--eval-mesh angle")
+    ranged = ":" in parts[1]
+    angles = (_parse_range if ranged else _parse_float_spec)(parts[1], "--eval-mesh angle")
     if any(r < 0 for r in radii):
         raise ValueError("--eval-mesh radii must be >= 0")
-    rs = np.asarray(radii)
-    ts = np.asarray(thetas)
-    return (rs[:, None] * np.exp(1j * ts[None, :])).ravel()
+    if ranged:
+        return PolarMesh(radii, *angles)
+    return (np.asarray(radii)[:, None] * np.exp(1j * np.asarray(angles)[None, :])).ravel()
 
 
 # -- subcommands ------------------------------------------------------------
@@ -240,13 +247,14 @@ def _cmd_reconstruct(args) -> int:
     coeffs = state.coefficients
     tables = [[("n", range(len(coeffs))), ("re", coeffs.real), ("im", coeffs.imag)]]
     if args.eval_mesh is not None:
-        zs = _parse_eval_mesh(args.eval_mesh)
-        values = evaluate(state, zs)
+        mesh = _parse_eval_mesh(args.eval_mesh)
+        zs = mesh.points().ravel() if isinstance(mesh, PolarMesh) else mesh
+        values = evaluate(state, mesh).ravel()
         table = [("re_z", zs.real), ("im_z", zs.imag),
                  ("re_value", values.real), ("im_value", values.imag)]
         evaluation = {"points": _pairs(zs), "values": _pairs(values)}
         if truth is not None:
-            ref = evaluate(truth, zs)
+            ref = evaluate(truth, mesh).ravel()
             abs_error = np.abs(values - ref)
             rel_error = abs_error / np.maximum(np.abs(ref), 1e-300)
             table += [("re_true", ref.real), ("im_true", ref.imag),

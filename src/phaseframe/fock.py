@@ -8,6 +8,11 @@ number basis.  Its Fock-Bargmann wave function is
 and sampling happens on the circle z_k = sqrt(p) * e^{2*pi*i*k/N}.  All
 factorial-sized quantities are handled through logarithms so that large n and
 large p stay inside double range.
+
+Off the circle every route sums one windowed series (`series_at`): at
+points it costs O(points x modes) complex exps; on a `PolarMesh`, rings of
+equispaced angles, it is one chirp-z transform per radius,
+O(radii x (modes + n_t) log) FFT work.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +39,7 @@ __all__ = [
     "TailProfile",
     "FockVector",
     "PhaseGrid",
+    "PolarMesh",
     "SampleSet",
     "coherent_amplitude",
     "cs_overlap",
@@ -217,6 +224,49 @@ class PhaseGrid:
         return PhaseGrid(data["N"], data["p"])
 
 
+@dataclass(frozen=True)
+class PolarMesh:
+    """Points r e^{i t} for each radius r and n_t equispaced angles t from t0
+    to t1 (`numpy.linspace`, both ends included).
+
+    Every off-grid route accepts a mesh in place of points and returns its
+    values with shape (len(radii), n_t), summed by one chirp-z transform
+    per radius (`series_at`).
+    """
+
+    radii: tuple
+    t0: float
+    t1: float
+    n_t: int
+
+    def __post_init__(self):
+        radii = np.array(self.radii, dtype=float)
+        if radii.ndim != 1:
+            raise ValueError(f"mesh radii must be one-dimensional, got shape {radii.shape}")
+        if not np.all(np.isfinite(radii) & (radii >= 0.0)):
+            raise ValueError("mesh radii must be finite and >= 0")
+        t0, t1 = float(self.t0), float(self.t1)
+        if not math.isfinite(t1 - t0):  # also a non-finite end
+            raise ValueError(f"mesh angles must be finite with a finite span, got {t0}, {t1}")
+        object.__setattr__(self, "radii", tuple(radii.tolist()))
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "t1", t1)
+        if not isinstance(self.n_t, numbers.Integral) or self.n_t < 1:
+            raise ValueError(f"mesh angle count n_t must be an integer >= 1, got {self.n_t!r}")
+        object.__setattr__(self, "n_t", int(self.n_t))
+
+    @property
+    def step(self) -> float:
+        """The angle step of `numpy.linspace`; 0 for a single angle."""
+        return (self.t1 - self.t0) / (self.n_t - 1) if self.n_t > 1 else 0.0
+
+    def points(self) -> np.ndarray:
+        """The mesh points, shape (len(radii), n_t); raveled they run r-major."""
+        rs = np.asarray(self.radii)
+        ts = np.linspace(self.t0, self.t1, self.n_t)
+        return rs[:, None] * np.exp(1j * ts[None, :])
+
+
 @dataclass
 class SampleSet:
     """Wave-function values Psi(z_k) on a phase grid."""
@@ -328,7 +378,7 @@ def evaluate(psi: FockVector, z):
         psi = FockVector(psi)
     nonzero = np.flatnonzero(psi.coefficients)  # series_at stops there too
     K = nonzero[-1] + 1 if nonzero.size else 0
-    return series_at(z, -0.5 * gammaln(np.arange(K) + 1.0), psi.coefficients)
+    return series_at(z, -0.5 * gammaln(np.arange(K) + 1.0), psi.coefficients[:K])
 
 
 # exp(x) rounds to exactly 0 below this: it is under half the smallest
@@ -343,7 +393,8 @@ _BLOCK = 1 << 14
 
 def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
     """exp(log_offset - |z|^2/2) sum_n exp(log_c_n) w0^n weights_n with
-    w0 = scale * conj(z), for a scalar or an array z (the return matches).
+    w0 = scale * conj(z), for a scalar or an array z (the return matches)
+    or a PolarMesh (the return has shape (len(radii), n_t)).
 
     Every off-grid route is this series over K modes, up to the last nonzero
     weight.  Each point sums only its own window: the modes from the first
@@ -351,42 +402,48 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
     |t_n| >= (u/K) max|t|, u = 2^-53.  The terms dropped sum to less than
     u max|t|, inside the rounding of the sum itself.  A point with no
     nonzero term has an empty window and gives an exact 0.  Each term is one
-    exp of log|t_n| - max log|t| + i arg t_n, so no |z| overflows, and the
-    shift is folded back by scale_by_exp.  Windows are found and summed in
-    one masked pass over blocks of at most _BLOCK points x modes (one point
-    per block if K is larger), cut to the columns some window of the block
-    reaches.  O(points x K) real work and one complex exp per windowed term.
-    A NaN or infinite z is a ValueError, and so is a value past double range,
-    named by its point's |z| and its log10.
+    exp of log|t_n| - max log|t| + i arg t_n, so no |z| overflows (where
+    scale * conj(z) does, log|w0| is log|z| + log scale), and the shift is
+    folded back by scale_by_exp.  A NaN or infinite z is a ValueError, and
+    so is a value past double range, named by its point's |z| and its log10.
+
+    Points find their windows and are summed in one masked pass over
+    blocks of at most _BLOCK points x modes (one point per block if K is
+    larger), cut to the columns some window of the block reaches:
+    O(points x K) real work and one complex exp per windowed term.
+
+    On a PolarMesh every point of a ring shares |w0| = scale r, so one row
+    of log-magnitudes per radius gives the ring its window, and its terms
+    are summed at all n_t angles by one chirp-z transform (`_chirp_z`):
+    O(radii x (K + F log F)) work, F < 2 (window + n_t) the FFT length,
+    and one complex exp per windowed term of each radius.
     """
-    zs = as_finite_points(z)
-    w0 = scale * zs.conjugate().ravel()
     nonzero = np.flatnonzero(weights)
     K = nonzero[-1] + 1 if nonzero.size else 0
+    with np.errstate(divide="ignore", over="ignore"):
+        log_t = log_c[:K] + np.log(np.abs(weights[:K]))  # log|c_n weights_n|
+    arg_t = np.arctan2(weights[:K].imag, weights[:K].real)
+    if isinstance(z, PolarMesh):
+        return _polar_series(z, log_t, arg_t, scale, log_offset)
+    zs = as_finite_points(z)
+    with np.errstate(over="ignore"):
+        w0 = scale * zs.conjugate().ravel()
     out = np.zeros(w0.shape, dtype=complex)
     if K:
         n = np.arange(K)
         with np.errstate(divide="ignore", over="ignore"):
+            az = np.abs(zs.ravel())
             # -inf past |z| ~ 1.3e154 is the exact limit of -|z|^2/2
-            log_pref = log_offset - 0.5 * np.abs(zs.ravel()) ** 2
+            log_pref = log_offset - 0.5 * az**2
             log_abs = np.log(np.abs(w0))
-            log_t = log_c[:K] + np.log(np.abs(weights[:K]))  # log|c_n weights_n|
-        arg_t = np.arctan2(weights[:K].imag, weights[:K].real)
+            far = log_abs == np.inf
+            if far.any():  # scale * conj(z) overflowed
+                log_abs[far] = np.log(az[far]) + math.log(scale)
         theta = np.arctan2(w0.imag, w0.real)
         rows = max(1, _BLOCK // K)
         for lo in range(0, w0.size, rows):
             b = slice(lo, lo + rows)
-            with np.errstate(invalid="ignore"):
-                x = np.multiply.outer(log_abs[b], n)
-            x[:, 0] = 0.0  # w0^0 = 1, also at w0 = 0
-            x += log_t
-            top = x.max(axis=1)
-            keep = x >= (top + (_LOG_U - math.log(K)))[:, None]
-            # no nonzero term: an empty window that adds no column; a NaN keeps
-            # nothing, so its window is all K modes and the NaN reaches the output
-            empty = top == -np.inf
-            first = np.where(empty, K, keep.argmax(axis=1))
-            end = np.where(empty, 0, K - keep[:, ::-1].argmax(axis=1))
+            x, top, first, end = _windows(log_abs[b], log_t)
             cols = slice(first.min(), end.max())
             window = (n[cols] >= first[:, None]) & (n[cols] < end[:, None])
             terms = np.empty(window.shape, dtype=complex)
@@ -394,19 +451,110 @@ def series_at(z, log_c, weights, scale=1.0, log_offset=0.0):
             terms.imag = np.multiply.outer(theta[b], n[cols]) + arg_t[cols]
             np.exp(terms, out=terms, where=window)
             sums = np.add.reduce(terms, axis=1, where=window)
-            with np.errstate(over="ignore"):
-                out[b] = scale_by_exp(sums, log_pref[b] + top)
-            over = np.flatnonzero(np.isinf(out[b]))
-            if over.size:
-                i = over[0]
-                log10 = (math.log(abs(sums[i])) + log_pref[b][i] + top[i]) / math.log(10.0)
-                raise ValueError(
-                    f"series value at |z| = {abs(zs.ravel()[lo + i]):.6g} is "
-                    f"10^{log10:.1f}, past double range"
-                )
+            out[b] = _fold_back(sums, log_pref[b] + top, az[b])
     if zs.ndim == 0:
         return complex(out[0])
     return out.reshape(zs.shape)
+
+
+def _windows(log_abs, log_t):
+    """For rows of log|w0|: the log-magnitudes x = n log|w0| + log_t_n of
+    the K terms (w0^0 = 1, also at w0 = 0), each row's largest `top`, and
+    its window first..end-1 from the first to the last mode with
+    x >= top + log(u/K).  A row with no nonzero term has the empty window
+    K..-1; a NaN keeps nothing, so its window is all K modes and the NaN
+    reaches the output."""
+    K = log_t.size
+    with np.errstate(invalid="ignore"):
+        x = np.multiply.outer(log_abs, np.arange(K))
+    x[:, 0] = 0.0
+    x += log_t
+    top = x.max(axis=1)
+    keep = x >= (top + (_LOG_U - math.log(K)))[:, None]
+    empty = top == -np.inf
+    first = np.where(empty, K, keep.argmax(axis=1))
+    end = np.where(empty, 0, K - keep[:, ::-1].argmax(axis=1))
+    return x, top, first, end
+
+
+def _polar_series(mesh: PolarMesh, log_t, arg_t, scale, log_offset) -> np.ndarray:
+    """series_at on a mesh.  Each ring's windowed terms at angle 0, shifted
+    by the largest, exp(x_n - top + i arg_t_n), are summed at every angle by
+    `_chirp_z`, in blocks of radii whose rows of K modes and of FFT length
+    F < 2 (K + n_t) stay near _BLOCK elements."""
+    r, n_t, K = np.asarray(mesh.radii), mesh.n_t, log_t.size
+    out = np.zeros((r.size, n_t), dtype=complex)
+    if not K:
+        return out
+    with np.errstate(divide="ignore", over="ignore"):
+        log_abs = np.log(r) + math.log(scale)  # -inf at r = 0
+        log_pref = log_offset - 0.5 * r * r
+    rows = max(1, _BLOCK // (K + n_t))
+    for lo in range(0, r.size, rows):
+        b = slice(lo, lo + rows)
+        x, top, first, end = _windows(log_abs[b], log_t)
+        idx = first[:, None] + np.arange(max(1, np.max(end - first)))
+        window = idx < end[:, None]
+        idx = np.minimum(idx, K - 1)
+        with np.errstate(invalid="ignore"):  # -inf - -inf in an empty row
+            t = (np.take_along_axis(x, idx, axis=1) - top[:, None]) + 1j * arg_t[idx]
+        terms = np.exp(t, out=np.zeros_like(t), where=window)
+        sums = _chirp_z(terms, first, mesh)
+        out[b] = _fold_back(sums, (log_pref[b] + top)[:, None], r[b, None])
+    return out
+
+
+def _chirp_z(d, lo, mesh: PolarMesh) -> np.ndarray:
+    """Rows X_k = sum_m d_m e^{-i (lo + m) t_k} at t_k = t0 + k step, k < n_t,
+    by Bluestein's chirp-z transform (Rabiner, Schafer & Rader, 1969).
+
+    With (lo + m) t_k = lo t0 + lo k step + m t0 + (m^2 + k^2 - (k-m)^2)
+    step/2, X_k is one convolution of d_m e^{-i (m t0 + m^2 step/2)} with
+    e^{i j^2 step/2}, j = 1-L..n_t-1, by FFTs of the power of two
+    F >= L + n_t - 1, times e^{-i (lo t0 + lo k step + k^2 step/2)}.  Each
+    phase is a `_turn`, so none errs by u j |angle| at j up to L^2.  The
+    three FFTs add about 6 log2(F) u sum_m |d_m| to each X_k: 2 log2(F) u
+    times the mass of each one's input, as for the sample DFT, where the
+    chirps have unit modulus.
+    """
+    L, n_t, step = d.shape[1], mesh.n_t, mesh.step
+    q = np.arange(max(L, n_t))
+    chirp = _turn(q * q, 0.5 * step)  # e^{-i q^2 step/2}
+    F = 1 << (L + n_t - 2).bit_length()
+    j = np.arange(1 - L, n_t)
+    h = np.zeros(F, dtype=complex)
+    h[j % F] = chirp[np.abs(j)].conj()
+    y = np.fft.ifft(np.fft.fft(d * (_turn(q[:L], mesh.t0) * chirp[:L]), F) * np.fft.fft(h))
+    shift = _turn(lo[:, None] * q[:n_t], step) * _turn(lo, mesh.t0)[:, None]
+    return y[:, :n_t] * (chirp[:n_t] * shift)
+
+
+def _turn(j, angle: float) -> np.ndarray:
+    """exp(-i j angle) for integers j >= 0: angle is split into a head of
+    53 - bits(max j) bits, whose products with j are exact, and the tail
+    left, below 2^-(those bits) of it, so the phase errs by a few u rather
+    than by u j |angle|."""
+    bits = 53 - int(np.max(j)).bit_length()
+    mant, e = math.frexp(angle)
+    head = math.ldexp(round(math.ldexp(mant, bits)), e - bits)
+    return np.exp(-1j * (j * head)) * np.exp(-1j * (j * (angle - head)))
+
+
+def _fold_back(sums, log_factor, radius) -> np.ndarray:
+    """scale_by_exp(sums, log_factor) for the series at points of modulus
+    `radius` (both broadcast to sums).  A value past double range is the
+    ValueError naming the first such point's |z| and the value's log10; the
+    inf * 0 of its zero real or imaginary part stays silent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = scale_by_exp(sums, log_factor)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = bad[0]
+        log_f = np.broadcast_to(log_factor, out.shape).flat[i]
+        log10 = (math.log(abs(sums.flat[i])) + log_f) / math.log(10.0)
+        r = np.broadcast_to(radius, out.shape).flat[i]
+        raise ValueError(f"series value at |z| = {r:.6g} is 10^{log10:.1f}, past double range")
+    return out
 
 
 def sample(psi: FockVector, grid: PhaseGrid) -> SampleSet:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._validation import as_finite_points, check_order
 from .exact import ExactReconstructor, _Reconstructor
-from .fock import _LOG_TINY, _LOG_U, FockVector, PhaseGrid
+from .fock import _LOG_TINY, _LOG_U, FockVector, PhaseGrid, PolarMesh
 from .spectral import SpectralData, log_mode_weight
 
 __all__ = ["PartialReconstructor"]
@@ -70,9 +70,13 @@ class PartialReconstructor(_Reconstructor):
     @staticmethod
     def _log_filter(plan: SpectralData, z) -> np.ndarray:
         """log c_n = log lam_n - log lhat_{n mod N} for n below
-        `_filter_bound` at the largest sqrt(p) |z| of the call."""
-        grid, zs = plan.grid, as_finite_points(z)
-        r = float(np.max(np.abs(zs), initial=0.0))
+        `_filter_bound` at the largest sqrt(p) |z| of the call (of a
+        PolarMesh, its largest radius)."""
+        grid = plan.grid
+        if isinstance(z, PolarMesh):
+            r = max(z.radii, default=0.0)
+        else:
+            r = float(np.max(np.abs(as_finite_points(z)), initial=0.0))
         s = math.sqrt(grid.p) * r
         if s > 2.0**52:  # the mode indices near s must be exact doubles
             raise ValueError(f"|z| = {r:g} puts sqrt(p) |z| = {s:g} beyond 2^52, "

@@ -20,6 +20,7 @@ from phaseframe import (
     FockVector,
     PartialReconstructor,
     PhaseGrid,
+    PolarMesh,
     SampleSet,
     assess,
     droplet,
@@ -173,6 +174,22 @@ def test_reconstruct_oracle_cross_check(capsys, tmp_path):
     assert "oracle max coefficient deviation:" in captured.err
     payload = json.loads(captured.out)
     assert payload["oracle_deviation"] < 1e-10
+
+
+def test_eval_mesh_angle_list_is_evaluated_point_by_point(capsys, tmp_path):
+    # a comma list of angles is not a range, so its points r e^{i t} go
+    # through evaluate as they are, bit for bit; a range is one PolarMesh
+    # (test_json_is_one_sorted_line_of_library_values)
+    psi = FockVector(unit_coeff(np.random.default_rng(13), 6))
+    state = write_state(tmp_path, psi.coefficients)
+    assert main(["reconstruct", "--mode", "exact", "--state", state, "--N", "8",
+                 "--p", "4.0", "--eval-mesh", "0.5:1.5:3,2.5", "--format", "json"]) == 0
+    evaluation = json.loads(capsys.readouterr().out)["evaluation"]
+    zs = (np.linspace(0.5, 1.5, 3)[:, None] * np.exp(1j * np.array([2.5])[None, :])).ravel()
+    rec = ExactReconstructor(N=8, p=4.0).dft_coefficients(sample(psi, PhaseGrid(8, 4.0)).values)
+    for key, want in (("points", zs), ("values", evaluate(rec, zs)),
+                      ("reference", evaluate(psi, zs))):
+        assert np.array_equal(_bits(evaluation[key]), _bits(want)), key
 
 
 def test_reconstruct_eval_mesh_csv(capsys, tmp_path):
@@ -715,7 +732,10 @@ def _json_case(case, state, psi):
         rec = ExactReconstructor(N=8, p=3.0, M=4).dft_coefficients(
             sample(psi, grid).values)
         window = ["--M", "4"]
-    values, ref = evaluate(rec, zs), evaluate(psi, zs)
+    # an equispaced angle range is one PolarMesh; its points stay the r-major zs
+    polar = PolarMesh(np.linspace(0, 3, 4), 0.0, 6.0, 5)
+    assert np.array_equal(_bits(polar.points().ravel()), _bits(zs))
+    values, ref = evaluate(rec, polar).ravel(), evaluate(psi, polar).ravel()
     argv = ["reconstruct", "--mode", mode, *window, "--N", str(grid.N),
             "--p", str(grid.p), "--state", state, "--eval-mesh", mesh]
     return argv, {

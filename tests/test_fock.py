@@ -10,6 +10,7 @@ from phaseframe import (
     CoherentPoint,
     FockVector,
     PhaseGrid,
+    PolarMesh,
     SampleSet,
     TailProfile,
     coherent_amplitude,
@@ -248,6 +249,28 @@ def test_grid_rejects_degenerate_parameters():
         PhaseGrid(2.5, 1.0)
     with pytest.raises(ValueError):
         PhaseGrid(4, math.inf)
+
+
+def test_polar_mesh_is_a_validated_value():
+    mesh = PolarMesh(np.array([0.0, 1.5]), 0, 6.2, 16)
+    assert mesh == PolarMesh([0.0, 1.5], 0.0, 6.2, 16) and hash(mesh) == hash(mesh)
+    assert mesh.step == 6.2 / 15 and PolarMesh([1.0], 0.3, 9.0, 1).step == 0.0
+    # the r-major points of --eval-mesh, bit for bit
+    want = np.array([0.0, 1.5])[:, None] * np.exp(1j * np.linspace(0, 6.2, 16)[None, :])
+    assert mesh.points().shape == (2, 16)
+    assert np.array_equal(mesh.points().view(np.uint64), want.view(np.uint64))
+    for radii, t0, t1, n_t, match in [
+        ([math.nan], 0.0, 1.0, 2, "radii must be finite"),
+        ([1.0, -0.5], 0.0, 1.0, 2, "radii must be finite and >= 0"),
+        ([[1.0]], 0.0, 1.0, 2, "one-dimensional"),
+        ([1.0], math.inf, 1.0, 2, "angles must be finite"),
+        ([1.0], 0.0, math.nan, 2, "angles must be finite"),
+        ([1.0], -1e308, 1e308, 2, "finite span"),
+        ([1.0], 0.0, 1.0, 0, "n_t must be an integer >= 1"),
+        ([1.0], 0.0, 1.0, 2.0, "n_t must be an integer >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            PolarMesh(radii, t0, t1, n_t)
 
 
 def test_evaluate_basis_state_is_conjugate_amplitude():

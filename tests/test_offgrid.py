@@ -10,6 +10,7 @@ from phaseframe import (
     FockVector,
     PartialReconstructor,
     PhaseGrid,
+    PolarMesh,
     evaluate,
     sample,
 )
@@ -256,6 +257,54 @@ OFFGRID_GRIDS = [
 ]
 
 
+def _reference_cases(mp, N, p, lo, M, which, z):
+    """The off-grid routes of test_offgrid_routes_match_high_precision_reference
+    on one grid, by name: (route of z, (double log c_n, 50-digit c_n),
+    50-digit weights W_n, sum_k |Psi_k| for the sample routes or 0).  The
+    partial filter reaches past the largest |z| of `z`."""
+    rng = np.random.default_rng(23)
+    psi = _state(rng, lo, M)
+    x = sample(psi, PhaseGrid(N, p)).values
+    partial = PartialReconstructor(N=N, p=p).fit(x)
+    k = 3
+
+    roots = [mp.expjpi(mp.mpf(2 * j) / N) for j in range(N)]
+    S = _mp_dft(mp, [mp.mpc(v.real, v.imag) for v in x], roots)
+    unit = [roots[(k * j) % N] for j in range(N)]
+    mass = mp.fsum(abs(mp.mpc(v.real, v.imag)) for v in x)
+    L, lam, log_lam, log_partial, c_partial = _mp_filter(mp, N, p, z)
+    partial_c = (log_partial, c_partial)
+
+    def state_case(route, a):
+        # sum_n a_n conj(z)^n / sqrt(n!) e^{-|z|^2/2}, as the kernel-route
+        # series with c_n = sqrt(N lam_n) and w0 = conj(z) / sqrt(p)
+        K = len(a)
+        with np.errstate(divide="ignore"):
+            log_a = np.log(np.abs(a))  # guides the summed run of modes
+        c = [mp.sqrt(N * lam[n]) for n in range(K)]
+        weights = [mp.mpc(v.real, v.imag) for v in a]
+        return route, (0.5 * (math.log(N) + log_lam[:K]) + log_a, c), weights, 0
+
+    cases = {
+        "partial_predict": state_case(partial.predict, partial.coef_),
+        "partial_reconstruct": (lambda z: partial.reconstruct(x, z), partial_c,
+                                [S[n % N] for n in range(L)], mass),
+        "lagrange_kernel": (lambda z: partial.lagrange_kernel(k, z), partial_c,
+                            [unit[n % N] for n in range(L)], 0),
+    }
+    if which == "all":
+        exact = ExactReconstructor(N=N, p=p, M=M).fit(x)
+        exact_c = (np.zeros(M + 1), [mp.mpf(1)] * (M + 1))
+        cases.update({
+            "evaluate": state_case(lambda z: evaluate(psi, z), psi.coefficients),
+            "exact_predict": state_case(exact.predict, exact.coef_),
+            "exact_reconstruct": (lambda z: exact.reconstruct(x, z), exact_c, S[: M + 1], mass),
+            "sinc_kernel": (lambda z: exact.sinc_kernel(k, z), exact_c, unit[: M + 1], 0),
+        })
+        assert len(cases) == 7
+    return cases
+
+
 @pytest.mark.parametrize("N, p, lo, M, which", OFFGRID_GRIDS)
 def test_offgrid_routes_match_high_precision_reference(N, p, lo, M, which):
     """Every off-grid route at radii 0..2 sqrt(p), z = 0 included, against
@@ -269,47 +318,11 @@ def test_offgrid_routes_match_high_precision_reference(N, p, lo, M, which):
     """
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
-    rng = np.random.default_rng(23)
-    psi = _state(rng, lo, M)
-    x = sample(psi, PhaseGrid(N, p)).values
-    partial = PartialReconstructor(N=N, p=p).fit(x)
     radius = math.sqrt(p)
     z = np.array([0.0] + [r * radius * np.exp(1j * (1 + 2.3 * r)) for r in (0.3, 0.7, 1.0, 1.4, 2.0)])
-    k = 3
-
-    roots = [mp.expjpi(mp.mpf(2 * j) / N) for j in range(N)]
-    S = _mp_dft(mp, [mp.mpc(v.real, v.imag) for v in x], roots)
-    unit = [roots[(k * j) % N] for j in range(N)]
-    mass = mp.fsum(abs(mp.mpc(v.real, v.imag)) for v in x)
-    L, lam, log_lam, log_partial, c_partial = _mp_filter(mp, N, p, z)
-    partial_c = (log_partial, c_partial)
-
-    def state_case(got, a):
-        # sum_n a_n conj(z)^n / sqrt(n!) e^{-|z|^2/2}, as the kernel-route
-        # series with c_n = sqrt(N lam_n) and w0 = conj(z) / sqrt(p)
-        K = len(a)
-        with np.errstate(divide="ignore"):
-            log_a = np.log(np.abs(a))  # guides the summed run of modes
-        c = [mp.sqrt(N * lam[n]) for n in range(K)]
-        weights = [mp.mpc(v.real, v.imag) for v in a]
-        return got, (0.5 * (math.log(N) + log_lam[:K]) + log_a, c), weights, 0
-
-    cases = {
-        "partial_predict": state_case(partial.predict(z), partial.coef_),
-        "partial_reconstruct": (partial.reconstruct(x, z), partial_c, [S[n % N] for n in range(L)], mass),
-        "lagrange_kernel": (partial.lagrange_kernel(k, z), partial_c, [unit[n % N] for n in range(L)], 0),
-    }
-    if which == "all":
-        exact = ExactReconstructor(N=N, p=p, M=M).fit(x)
-        exact_c = (np.zeros(M + 1), [mp.mpf(1)] * (M + 1))
-        cases.update({
-            "evaluate": state_case(evaluate(psi, z), psi.coefficients),
-            "exact_predict": state_case(exact.predict(z), exact.coef_),
-            "exact_reconstruct": (exact.reconstruct(x, z), exact_c, S[: M + 1], mass),
-            "sinc_kernel": (exact.sinc_kernel(k, z), exact_c, unit[: M + 1], 0),
-        })
-        assert len(cases) == 7
-    for name, (got, (log_c, c), weights, mass_w) in cases.items():
+    cases = _reference_cases(mp, N, p, lo, M, which, z)
+    for name, (route, (log_c, c), weights, mass_w) in cases.items():
+        got = route(z)
         assert np.all(np.isfinite(got)), name
         for i, zz in enumerate(z):
             ref, size, size_c = _mp_series(mp, zz, log_c, c, weights, N, p)
@@ -318,6 +331,100 @@ def test_offgrid_routes_match_high_precision_reference(N, p, lo, M, which):
             assert err <= tol, (
                 f"{name} at z = {zz:.6g}: error {float(err):.3e} > {float(tol):.3e}"
             )
+
+
+def _czt_tol(K, n_t, size):
+    """The chirp-z transform's rounding: three FFTs of the power of two
+    F >= K + n_t - 1 (no shorter than the library's, whose window is at
+    most K long), each held, as the sample DFT is in _model_tol, to
+    2 log2(F) u times the mass of its input; up to the unit-modulus chirps
+    that mass is sum_n |term_n|, so 6 log2(F) u sum_n |term_n|."""
+    F = 1 << (K + n_t - 2).bit_length()
+    return 6 * math.log2(F) * U * size
+
+
+# (radii / sqrt(p), t0, t1, n_t, the checked (radius, angle) indices): the
+# --eval-mesh arc 0..6.2, a full ring, an arc past 2 pi from t0 < 0, and
+# steps of 40.1 rad, where a chirp phase m^2 step/2 rounded as one product
+# errs by u m^2 20, past the model; the first and last angle of each mesh
+# are checked (at angle 0 the rounding of the chirp and its inverse cancel)
+POLAR_MESHES = [
+    ((0.0, 0.3, 1.0, 2.0), 0.0, 6.2, 16, [(0, 0), (1, 15), (2, 0), (2, 7), (3, 15)]),
+    ((0.7, 1.4), 0.0, 2 * math.pi * 15 / 16, 16, [(0, 0), (1, 15)]),
+    ((0.5, 1.2), -2.0, 9.0, 5, [(0, 4), (1, 0)]),
+    ((1.0,), 0.3, 120.6, 4, [(0, 3)]),
+]
+
+
+def test_polar_routes_match_high_precision_reference():
+    """Every off-grid route on PolarMesh rings and arcs of the benchmark grid
+    (N = 256, p = 128, the state on 38..219) at radii 0..2 sqrt(p), against
+    the 50-digit sums of test_offgrid_routes_match_high_precision_reference
+    at the mesh's points, held to the same rounding model plus _czt_tol."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    N, p, lo, M, which = OFFGRID_GRIDS[0]
+    meshes = [(PolarMesh(np.array(radii) * math.sqrt(p), t0, t1, n_t), checked)
+              for radii, t0, t1, n_t, checked in POLAR_MESHES]
+    z = np.concatenate([mesh.points().ravel() for mesh, _ in meshes])
+    cases = _reference_cases(mp, N, p, lo, M, which, z)
+    for name, (route, (log_c, c), weights, mass_w) in cases.items():
+        for mesh, checked in meshes:
+            got, points = route(mesh), mesh.points()
+            assert got.shape == points.shape and np.all(np.isfinite(got)), name
+            for i, k in checked:
+                zz = points[i, k]
+                ref, size, size_c = _mp_series(mp, zz, log_c, c, weights, N, p)
+                tol = (_model_tol(zz, p, len(log_c), size, mass_w, size_c, N)
+                       + _czt_tol(len(log_c), mesh.n_t, size))
+                err = abs(mp.mpc(got[i, k].real, got[i, k].imag) - ref)
+                assert err <= tol, (
+                    f"{name} at z = {zz:.6g}: error {float(err):.3e} > {float(tol):.3e}"
+                )
+
+
+def test_polar_evaluate_matches_high_precision_reference_at_n_16384():
+    """evaluate of a window state (p +- 8 sqrt(p)) of N = 16384, p = 8192 on
+    rings at 0.9, 1.0 and 1.1 sqrt(p), 64 angles over 0..6.2, against the
+    50-digit sum of test_offgrid_routes_match_high_precision_reference."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    N, p = 16384, 8192.0
+    root = math.sqrt(p)
+    psi = _state(np.random.default_rng(5), round(p - 8 * root), round(p + 8 * root))
+    mesh = PolarMesh(np.array([0.9, 1.0, 1.1]) * root, 0.0, 6.2, 64)
+    got, points = evaluate(psi, mesh), mesh.points()
+    a = psi.coefficients
+    K = len(a)
+    lam = [mp.mpf(N) * mp.exp(-p)]  # N e^{-p} p^n / n!, as in _mp_filter
+    for n in range(1, K):
+        lam.append(lam[-1] * p / n)
+    n = np.arange(K)
+    log_lam = math.log(N) - p + n * math.log(p) - np.array([math.lgamma(m + 1) for m in n])
+    with np.errstate(divide="ignore"):
+        log_c = 0.5 * (math.log(N) + log_lam) + np.log(np.abs(a))
+    c = [mp.sqrt(N * v) for v in lam]
+    weights = [mp.mpc(v.real, v.imag) for v in a]
+    for i, k in [(0, 0), (1, 31), (2, 63)]:
+        zz = points[i, k]
+        ref, size, _ = _mp_series(mp, zz, log_c, c, weights, N, p)
+        tol = _model_tol(zz, p, K, size) + _czt_tol(K, mesh.n_t, size)
+        err = abs(mp.mpc(got[i, k].real, got[i, k].imag) - ref)
+        assert err <= tol, f"at z = {zz:.6g}: error {float(err):.3e} > {float(tol):.3e}"
+
+
+def test_a_mesh_matches_its_points_on_every_route():
+    # the polar path against the point path on the mesh's own points, each
+    # row to rounding of its largest value: radius 0 (the n = 0 term alone),
+    # a single angle, rings inside and past the circle, an arc past 2 pi
+    meshes = [PolarMesh([0.0], -1.0, 2.0, 4), PolarMesh([0.0, 0.5, 1.5, 3.0], 0.3, 0.3, 1),
+              PolarMesh([0.2, 2.0, 4.0], 0.0, 6.2, 16), PolarMesh([1.0], -3.0, 9.0, 7)]
+    for name, route in _all_routes(8, 4.0, 5, 29).items():
+        for mesh in meshes:
+            got, want = route(mesh), route(mesh.points())
+            assert got.shape == want.shape == (len(mesh.radii), mesh.n_t), name
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale), (name, mesh)
 
 
 def test_degenerate_rows_are_exact_zeros():
@@ -331,32 +438,39 @@ def test_degenerate_rows_are_exact_zeros():
     zeros = np.zeros(N)
     exact = ExactReconstructor(N=N, p=p, M=M)
     partial = PartialReconstructor(N=N, p=p)
+    mesh = PolarMesh([0.0, 30.0, 1e5], 0.0, 6.2, 5)
+    assert np.array_equal(evaluate(FockVector([0.0, 0.6, 0.8j]), mesh)[0], np.zeros(5))
     all_zero = {
-        "evaluate": evaluate(FockVector(np.zeros(M + 1)), z),
-        "exact_reconstruct": exact.reconstruct(zeros, z),
-        "partial_reconstruct": partial.reconstruct(zeros, z),
-        "partial_predict": partial.fit(zeros).predict(z),
+        "evaluate": lambda z: evaluate(FockVector(np.zeros(M + 1)), z),
+        "exact_reconstruct": lambda z: exact.reconstruct(zeros, z),
+        "partial_reconstruct": lambda z: partial.reconstruct(zeros, z),
+        "partial_predict": partial.fit(zeros).predict,
     }
-    for name, value in all_zero.items():
-        assert np.array_equal(value, np.zeros(len(z))), name
+    for name, route in all_zero.items():
+        assert np.array_equal(route(z), np.zeros(len(z))), name
+        assert np.array_equal(route(mesh), np.zeros((3, 5))), name
     # w0 = 0 beside far points: the n = 0 term alone, e^{p/2} / N at k = 3
     for kernel in (exact.sinc_kernel(3, z), partial.lagrange_kernel(3, z)):
         assert np.all(np.isfinite(kernel))
     assert exact.sinc_kernel(3, z)[0] == pytest.approx(math.exp(p / 2) / N, rel=1e-14)
 
 
-@pytest.mark.parametrize("z", [np.nan, np.inf, complex(np.nan, 1.0)])
-def test_non_finite_points_are_rejected(z):
-    N, p, M = 8, 4.0, 5
-    psi = _state(np.random.default_rng(29), 0, M)
+def _all_routes(N, p, M, seed):
+    """_routes and both predicts: all seven off-grid routes."""
+    psi = _state(np.random.default_rng(seed), 0, M)
     x = sample(psi, PhaseGrid(N, p)).values
     routes = {
-        **_routes(N, p, M, 29),
+        **_routes(N, p, M, seed),
         "exact_predict": ExactReconstructor(N=N, p=p, M=M).fit(x).predict,
         "partial_predict": PartialReconstructor(N=N, p=p).fit(x).predict,
     }
     assert len(routes) == 7
-    for route in routes.values():
+    return routes
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, complex(np.nan, 1.0)])
+def test_non_finite_points_are_rejected(z):
+    for route in _all_routes(8, 4.0, 5, 29).values():
         for points in (z, np.array([0.5, z])):
             with pytest.raises(ValueError, match="finite"):
                 route(points)
@@ -373,8 +487,10 @@ def test_a_value_past_double_range_is_a_named_error():
     psi = _state(np.random.default_rng(5), round(p - 8 * root), round(p + 8 * root))
     x = sample(psi, PhaseGrid(N, p)).values
     z = 0.9 * root * np.exp(1j * np.array([0.1, 1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError, match=r"\|z\| = 81\.4587 is 10\^3\d\d\.\d, past double range"):
-        ExactReconstructor(N=N, p=p, M=N - 1).reconstruct(x, z)
+    for points in (z, PolarMesh([0.9 * root], 0.1, 3.0, 4)):
+        with pytest.raises(ValueError,
+                           match=r"\|z\| = 81\.4587 is 10\^3\d\d\.\d, past double range"):
+            ExactReconstructor(N=N, p=p, M=N - 1).reconstruct(x, points)
 
 
 @pytest.mark.filterwarnings("error")
@@ -382,11 +498,43 @@ def test_every_route_past_the_square_overflow_of_z():
     # |z|^2 overflows past |z| ~ 1.3e154, where e^{-|z|^2/2} is an exact 0;
     # the projection's series, whose length grows as sqrt(p) |z|, names |z|
     z = np.array([1e200, -1e200j, 0.5 + 0.5j])
+    mesh = PolarMesh([1e200, abs(0.5 + 0.5j)], 0.0, 6.2, 5)
     for name, route in _routes(8, 6.0, 7, 17).items():
         if name in ("partial_reconstruct", "lagrange_kernel"):
-            with pytest.raises(ValueError, match=r"\|z\| = 1e\+200 puts sqrt\(p\) \|z\|"):
-                route(z)
+            for points in (z, mesh):
+                with pytest.raises(ValueError, match=r"\|z\| = 1e\+200 puts sqrt\(p\) \|z\|"):
+                    route(points)
         else:
             out = route(z)
             assert np.all(out[:2] == 0) and out[2] != 0, name
             assert route(1e200) == 0, name
+            out = route(mesh)
+            assert np.all(out[0] == 0) and np.all(out[1] != 0), name
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [2, 7, 64])
+def test_past_double_range_at_the_origin_is_the_named_error(N):
+    # at p = 2048 the kernel series of constant samples is about 10^444.7 at
+    # |z| <= 0.5; the rescale's inf * 0 (a zero imaginary part) raised
+    # "invalid value encountered in multiply" before the named error
+    rec = ExactReconstructor(N=N, p=2048.0)
+    for z, named in ((0.0, "0"), (0.5, r"0\.5"), (PolarMesh([0.0, 0.5], 0.0, 1.0, 3), "0")):
+        with pytest.raises(ValueError, match=rf"\|z\| = {named} is 10\^444\.7, past double range"):
+            rec.reconstruct(np.ones(N), z)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [1, 2, 7, 64])
+def test_tiny_p_overflow_of_w0_gives_the_exact_zero(N):
+    # at p = 1e-300, w0 = conj(z) / sqrt(p) overflows at |z| = 1e200 (it gave
+    # nan+nanj); there log|w0| is log|z| - log(p)/2, and e^{-|z|^2/2} = 0
+    # makes the value an exact 0.  Constant samples interpolate to 1 near 0.
+    rec = ExactReconstructor(N=N, p=1e-300)
+    values = np.ones(N)
+    assert rec.reconstruct(values, 1e200) == 0
+    out = rec.reconstruct(values, np.array([1e200, -1e200j, 1e-200]))
+    assert np.array_equal(out[:2], [0, 0]) and out[2] == pytest.approx(1.0, rel=1e-15)
+    out = rec.reconstruct(values, PolarMesh([1e200, 1e-200], 0.0, 1.0, 3))
+    assert np.array_equal(out[0], np.zeros(3)) and np.allclose(out[1], 1.0, rtol=1e-15)
+    assert rec.sinc_kernel(0, 1e200) == 0
