@@ -134,8 +134,9 @@ def _parse_range(spec: str, flag: str) -> tuple[float, float, int]:
 
 def _parse_eval_mesh(spec: str):
     """Polar mesh 'r0:r1:nr,t0:t1:nt': a PolarMesh when the angles are a
-    range, else the complex points r e^{i t}, r-major."""
-    parts = spec.split(",")
+    range, else the complex points r e^{i t}, r-major.  The radius part ends
+    at the first comma, so the angle part may be a comma list."""
+    parts = spec.split(",", 1)
     if len(parts) != 2:
         raise ValueError("--eval-mesh must look like r0:r1:nr,t0:t1:nt")
     radii = _parse_float_spec(parts[0], "--eval-mesh radius")

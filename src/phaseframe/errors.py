@@ -21,7 +21,7 @@ from scipy.special.pdtr / pdtrc over a scalar or an array of radii.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import pdtr, pdtrc
@@ -196,7 +196,8 @@ class ErrorReport:
     asymptotic: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so a shallow dict is the JSON form
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def assess(
@@ -255,6 +256,12 @@ def _measure_slack(grid: PhaseGrid) -> float:
     |c* dB c| <= ||dB||_2 ||c||^2 <= ||dB||_2 q / min(lhat), and
     q <= ||a||^2, so the measurement errs by at most N gamma_{3N+1} cond(B)
     with cond(B) = max(lhat) / min(lhat) = exp(max - min of log lhat).
+    The oracle reads q = ||y||^2 from the Cholesky factor L and one forward
+    substitution L y = v.  The factor has L L* = B + dB1 with
+    |dB1| <= gamma_{N+1} |L| |L*|, and the substitution solves
+    (L + dL) y = v with |dL| <= gamma_N |L| (Thm 8.5), so to first order
+    ||y||^2 = v* (B + dB)^{-1} v with |dB| <= gamma_{3N+1} |L| |L*|, and
+    |L| |L*| is |R*| |R| for R = L*: the same allowance.
     """
     n = 3 * grid.N + 1
     gamma = n * _U / (1.0 - n * _U)

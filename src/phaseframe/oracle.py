@@ -4,8 +4,9 @@ Everything here recomputes what the analytic modules produce in closed form,
 using nothing but the explicit frame matrix T_{kn} = <z_k|n> and standard
 dense solvers.  The production code is validated against these routes; they
 are deliberately simple, and size-capped or row-sampled, rather than fast.
-scipy.linalg (LAPACK) is imported only when a dense Gram solve runs, so
-importing phaseframe does not load it.
+The Gram solve is numpy's Cholesky factor and a forward and a back
+substitution written here, so no process that uses the oracle loads
+scipy.linalg.
 """
 
 from __future__ import annotations
@@ -92,29 +93,60 @@ class DenseFrame:
             )
         return psi.padded(self.n_max + 1).coefficients
 
-    def solve_gram(self, v: np.ndarray) -> np.ndarray:
-        """B^{-1} v by Cholesky, falling back to eigenbasis division with
-        eigenvalue clipping when the factorization breaks down."""
-        from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
+    def _gram_factor(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """B with its lower Cholesky factor L (B = L L*), or with None when
+        the factorization breaks down."""
         if self.grid.N - 1 > _N_MAX_CAP:  # B is N x N: held to the frame cap
             raise OracleSizeError(f"dense Gram solve cap is N - 1 <= {_N_MAX_CAP}, "
                                   f"got N = {self.grid.N}")
         B = self.gram()
         try:
-            return cho_solve(cho_factor(B), v)
-        except LinAlgError:
-            vals, vecs = np.linalg.eigh(B)
-            floor = np.max(vals) * 1e-18
-            clipped = np.maximum(vals, floor)
-            cond = float(np.max(vals) / floor)
-            warnings.warn(
-                f"Cholesky failed (condition ~{cond:.2e}); using clipped "
-                "eigenbasis division",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return vecs @ ((vecs.conj().T @ v) / clipped)
+            return B, np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            return B, None
+
+    def solve_gram(self, v: np.ndarray) -> np.ndarray:
+        """B^{-1} v for a vector v: Cholesky B = L L*, then L y = v by forward
+        and L* c = y by back substitution.  When the factorization breaks
+        down, eigenbasis division with eigenvalue clipping, with a warning."""
+        B, L = self._gram_factor()
+        if L is None:
+            return _clipped_solve(B, v)
+        return _back_substitute(L, _forward_substitute(L, v))
+
+
+def _forward_substitute(L: np.ndarray, v) -> np.ndarray:
+    """L^{-1} v for lower-triangular L, column by column as BLAS trsv does."""
+    y = np.array(v, dtype=complex)
+    for j in range(len(y)):
+        y[j] /= L[j, j]
+        y[j + 1:] -= y[j] * L[j + 1:, j]
+    return y
+
+
+def _back_substitute(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L*^{-1} y for lower-triangular L, column by column of L* = L^H."""
+    c = y.copy()
+    for j in range(len(c) - 1, -1, -1):
+        c[j] /= L[j, j].conjugate()
+        c[:j] -= c[j] * L[j, :j].conj()
+    return c
+
+
+def _clipped_solve(B: np.ndarray, v) -> np.ndarray:
+    """B^{-1} v by eigenbasis division, eigenvalues clipped to 1e-18 of the
+    largest; warns, since it runs only where Cholesky has failed."""
+    vals, vecs = np.linalg.eigh(B)
+    floor = np.max(vals) * 1e-18
+    clipped = np.maximum(vals, floor)
+    cond = float(np.max(vals) / floor)
+    warnings.warn(
+        f"Cholesky failed (condition ~{cond:.2e}); using clipped "
+        "eigenbasis division",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return vecs @ ((vecs.conj().T @ v) / clipped)
 
 
 def dense_project(frame: DenseFrame, psi) -> np.ndarray:
@@ -142,7 +174,10 @@ def dense_pseudoinverse_fit(frame: DenseFrame, M: int, values) -> np.ndarray:
 
 
 def measured_error_sq(frame: DenseFrame, psi) -> float:
-    """Squared relative projection distance 1 - <v, B^{-1} v>/||a||^2.
+    """Squared relative projection distance 1 - q/||a||^2 with v = T a and
+    q = <v, B^{-1} v> = ||L^{-1} v||^2, read from the forward substitution
+    of B's Cholesky factor L alone (the clipped eigenbasis division where
+    the factorization breaks down).
 
     Exact (up to the dense solve) even though the projection itself has an
     infinite coefficient tail; only the stored block of psi enters.
@@ -152,8 +187,12 @@ def measured_error_sq(frame: DenseFrame, psi) -> float:
     if norm_sq == 0.0:
         raise ValueError("measured error undefined for the zero state")
     v = frame.T @ a
-    c = frame.solve_gram(v)
-    q = float(np.vdot(v, c).real)
+    B, L = frame._gram_factor()
+    if L is None:
+        q = float(np.vdot(v, _clipped_solve(B, v)).real)
+    else:
+        y = _forward_substitute(L, v)
+        q = float(np.vdot(y, y).real)
     return max(0.0, 1.0 - q / norm_sq)
 
 

@@ -192,6 +192,18 @@ def test_eval_mesh_angle_list_is_evaluated_point_by_point(capsys, tmp_path):
         assert np.array_equal(_bits(evaluation[key]), _bits(want)), key
 
 
+def test_eval_mesh_angle_part_is_everything_after_the_first_comma(capsys, tmp_path):
+    # '0.5:1.5:3,0,1,2.5' is 3 radii by the 3 angles 0, 1 and 2.5, point by point
+    psi = FockVector(unit_coeff(np.random.default_rng(17), 6))
+    state = write_state(tmp_path, psi.coefficients)
+    assert main(["reconstruct", "--mode", "exact", "--state", state, "--N", "8",
+                 "--p", "4.0", "--eval-mesh", "0.5:1.5:3,0,1,2.5", "--format", "json"]) == 0
+    evaluation = json.loads(capsys.readouterr().out)["evaluation"]
+    zs = (np.linspace(0.5, 1.5, 3)[:, None] * np.exp(1j * np.array([0.0, 1.0, 2.5])[None, :])).ravel()
+    assert np.array_equal(_bits(evaluation["points"]), _bits(zs))
+    assert np.array_equal(_bits(evaluation["reference"]), _bits(evaluate(psi, zs)))
+
+
 def test_reconstruct_eval_mesh_csv(capsys, tmp_path):
     rng = np.random.default_rng(13)
     state = write_state(tmp_path, unit_coeff(rng, 6))

@@ -103,6 +103,26 @@ def test_measured_error_is_projection_distance():
         measured_error_sq(frame, FockVector([0.0]))
 
 
+def test_gram_solve_falls_back_to_clipped_eigenbasis_division():
+    # at p = 1e-300 both samples sit at the origin, B has rank one and the
+    # Cholesky factorization breaks down
+    frame = DenseFrame.build(PhaseGrid(2, 1e-300), 1)
+    v = np.array([1.0 + 0.5j, -2.0j])
+    with pytest.warns(RuntimeWarning, match="Cholesky failed"):
+        got = frame.solve_gram(v)
+    vals, vecs = np.linalg.eigh(frame.gram())
+    clipped = np.maximum(vals, vals.max() * 1e-18)
+    want = vecs @ ((vecs.conj().T @ v) / clipped)
+    assert np.array_equal(got, want)
+    # the measurement takes q = <v, B^-1 v> from the same division
+    psi = FockVector([0.6, 0.8j])
+    v = frame.T @ psi.coefficients
+    with pytest.warns(RuntimeWarning, match="Cholesky failed"):
+        got = measured_error_sq(frame, psi)
+    q = np.vdot(v, vecs @ ((vecs.conj().T @ v) / clipped)).real
+    assert got == max(0.0, 1.0 - q / np.vdot(psi.coefficients, psi.coefficients).real)
+
+
 def test_pseudoinverse_fit_recovers_band_limited_data():
     rng = np.random.default_rng(73)
     grid = PhaseGrid(9, 6.0)
